@@ -83,74 +83,3 @@ from .quadrature import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConvergenceTable",
-    "StabilityScan",
-    "TrajectoryRecord",
-    "convergence_table",
-    "energy_drift_series",
-    "estimate_order",
-    "linf_error",
-    "map_jacobian_determinant",
-    "stability_scan",
-    "ConfigError",
-    "ExperimentConfig",
-    "main",
-    "parse_config",
-    "run",
-    "HarmonicExact",
-    "PendulumExact",
-    "complete_elliptic_K",
-    "harmonic_exact",
-    "oracle_integrate",
-    "pendulum_exact",
-    "EliminationError",
-    "HarmonicParams",
-    "TransferMatrix",
-    "center_residual",
-    "discrete_energy",
-    "discrete_lagrangian",
-    "internal_dofs",
-    "kinetic_form",
-    "reduced_lagrangian",
-    "right_momentum",
-    "run_harmonic",
-    "stability_limit",
-    "step_harmonic",
-    "taylor_samples",
-    "transfer_matrix",
-    "truncation_leading_term",
-    "ElementState",
-    "PhasePoint",
-    "PotentialModel",
-    "energy",
-    "free_potential",
-    "harmonic_potential",
-    "pendulum_potential",
-    "MidpointStepParams",
-    "run_midpoint",
-    "step_midpoint",
-    "NewtonConfig",
-    "NewtonError",
-    "NonlinearLagrangianParams",
-    "StepUnknowns",
-    "discrete_lagrangian_nl",
-    "dynamics_residual",
-    "internal_equations_residual",
-    "jacobian_dFL",
-    "newton_step_solve",
-    "run_pendulum",
-    "step_pendulum",
-    "symplecticity_defect",
-    "QuadratureRule",
-    "StiffnessMatrix",
-    "assemble_stiffness",
-    "eval_basis",
-    "eval_basis_deriv",
-    "integrate_unit",
-    "interpolate",
-    "lobatto_rule",
-    "stiffness_matrix",
-    "__version__",
-]

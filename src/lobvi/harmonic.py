@@ -75,8 +75,15 @@ def _x(params: HarmonicParams) -> float:
     return z * z
 
 
-def _delta_elim(x: float) -> float:
-    return (x - 30.0) * (x - 10.0)
+def _delta_elim(params: HarmonicParams) -> tuple:
+    """(x, delta) with delta = (x - 30)(x - 10), for x inside [0, 10)."""
+    x = _x(params)
+    # delta alone is no gate: it turns positive again past x = 30
+    if x >= 10.0:
+        raise EliminationError(
+            f"(h*omega)^2 = {x:.6g} is outside [0, 10); interior nodes are not defined"
+        )
+    return x, (x - 30.0) * (x - 10.0)
 
 
 def internal_dofs(q_l: float, q_r: float, params: HarmonicParams) -> tuple:
@@ -85,13 +92,7 @@ def internal_dofs(q_l: float, q_r: float, params: HarmonicParams) -> tuple:
     Closed-form elimination; only valid while delta = (x - 30)(x - 10) > 0,
     i.e. h omega < sqrt(10).
     """
-    x = _x(params)
-    # delta alone is no gate: it turns positive again past x = 30
-    if x >= 10.0:
-        raise EliminationError(
-            f"(h*omega)^2 = {x:.6g} is outside [0, 10); interior nodes are not defined"
-        )
-    delta = _delta_elim(x)
+    x, delta = _delta_elim(params)
     sym = -5.0 * (x - 30.0) * (q_r + q_l)
     asym = 3.0 * SQRT5 * (x - 10.0) * (q_r - q_l)
     return ((sym + asym) / delta, (sym - asym) / delta)
@@ -137,12 +138,7 @@ def reduced_lagrangian(q_l: float, q_r: float, params: HarmonicParams) -> float:
 
     Symmetric in (q_l, q_r); reduces to m (q_r - q_l)^2 / 2h as omega -> 0.
     """
-    x = _x(params)
-    if x >= 10.0:
-        raise EliminationError(
-            f"(h*omega)^2 = {x:.6g} is outside [0, 10); no reduced form"
-        )
-    delta = _delta_elim(x)
+    x, delta = _delta_elim(params)
     even = 3600.0 + x * (-1680.0 + x * (92.0 - x))
     cross = 1800.0 + x * (60.0 + x)
     m = params.m
@@ -153,12 +149,7 @@ def reduced_lagrangian(q_l: float, q_r: float, params: HarmonicParams) -> float:
 
 def right_momentum(q_l: float, q_r: float, params: HarmonicParams) -> float:
     """p_r = d reduced_lagrangian / d q_r, in expanded form."""
-    x = _x(params)
-    if x >= 10.0:
-        raise EliminationError(
-            f"(h*omega)^2 = {x:.6g} is outside [0, 10); no reduced form"
-        )
-    delta = _delta_elim(x)
+    x, delta = _delta_elim(params)
     m, h, omega = params.m, params.h, params.omega
     lead = m * (q_r - q_l) / h
     corr = (

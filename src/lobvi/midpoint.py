@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .mechanics import PhasePoint, PotentialModel
-from .pendulum import NewtonConfig, NewtonError
+from .pendulum import NewtonConfig, NewtonError, fold
 
 
 @dataclass(frozen=True)
@@ -39,18 +39,14 @@ def step_midpoint(point: PhasePoint, params: MidpointStepParams) -> PhasePoint:
     cfg = params.solver
     p0, q0 = point.p, point.q
     x = q0 + h * p0 / m
-    tol = cfg.tol * max(1.0, abs(q0))
+    scale = max(1.0, abs(q0))
+    tol = cfg.tol * scale
     g = x - q0 - h / m * p0 + h * h / (2.0 * m) * dV(0.5 * (q0 + x))
     for used in range(cfg.max_iter + 1):
         if abs(g) <= tol:
             break
         if used == cfg.max_iter:
-            raise NewtonError(
-                f"midpoint solve: no convergence after {cfg.max_iter} iterations, "
-                f"residual {abs(g):.3e}",
-                residual=abs(g),
-                iterations=used,
-            )
+            raise NewtonError("no convergence", residual=abs(g) / scale, iterations=used)
         mid = 0.5 * (q0 + x)
         x -= g / (1.0 + h * h / (4.0 * m) * d2V(mid))
         g = x - q0 - h / m * p0 + h * h / (2.0 * m) * dV(0.5 * (q0 + x))
@@ -62,18 +58,4 @@ def run_midpoint(
     point: PhasePoint, params: MidpointStepParams, n_steps: int
 ) -> list:
     """Fold step_midpoint; returns n_steps + 1 phase points."""
-    if n_steps < 1:
-        raise ValueError("need at least one step")
-    points = [point]
-    current = point
-    for j in range(n_steps):
-        try:
-            current = step_midpoint(current, params)
-        except NewtonError as exc:
-            raise NewtonError(
-                f"step {j + 1} of {n_steps}: {exc}",
-                residual=exc.residual,
-                iterations=exc.iterations,
-            ) from exc
-        points.append(current)
-    return points
+    return fold(lambda pt: step_midpoint(pt, params), point, n_steps)

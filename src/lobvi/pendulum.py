@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
+from .analysis import map_jacobian_determinant
 from .harmonic import kinetic_form, stability_limit
 from .mechanics import ElementState, PhasePoint, PotentialModel
 from .quadrature import SQRT5, XI
@@ -71,12 +72,45 @@ class NonlinearLagrangianParams:
 
 
 class NewtonError(RuntimeError):
-    """Newton failed: non-convergence, divergence, or a singular Jacobian."""
+    """Newton failed: non-convergence, divergence, or a singular Jacobian.
 
-    def __init__(self, message: str, residual: float = math.nan, iterations: int = 0):
-        super().__init__(message)
+    A structured record: `reason` names the failure, `residual` is the last
+    scaled residual and `iterations` the iterations done.  When the solve was
+    one step of a fold, `step` (1-based) and `n_steps` say which.
+    """
+
+    def __init__(self, reason: str, residual: float = math.nan, iterations: int = 0):
+        super().__init__(reason)
+        self.reason = reason
         self.residual = residual
         self.iterations = iterations
+        self.step: Optional[int] = None
+        self.n_steps: Optional[int] = None
+
+    def __str__(self) -> str:
+        where = "" if self.step is None else f"step {self.step} of {self.n_steps}: "
+        return (
+            f"{where}{self.reason} after {self.iterations} iterations, "
+            f"scaled residual {self.residual:.3e}"
+        )
+
+
+def fold(step: Callable[[PhasePoint], PhasePoint], point: PhasePoint, n_steps: int) -> list:
+    """Apply a one-step map n_steps times; returns the n_steps + 1 points.
+
+    A NewtonError raised by step j leaves with its `step` and `n_steps` set.
+    """
+    if n_steps < 1:
+        raise ValueError("need at least one step")
+    points = [point]
+    for j in range(n_steps):
+        try:
+            point = step(point)
+        except NewtonError as exc:
+            exc.step, exc.n_steps = j + 1, n_steps
+            raise
+        points.append(point)
+    return points
 
 
 def discrete_lagrangian_nl(element: ElementState, params: NonlinearLagrangianParams) -> float:
@@ -204,29 +238,19 @@ def newton_step_solve(
         try:
             dx = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError as exc:
-            raise NewtonError(
-                f"singular Jacobian at iteration {used}", residual=res, iterations=used
-            ) from exc
+            raise NewtonError("singular Jacobian", residual=res, iterations=used) from exc
         if float(np.max(np.abs(dx))) > cfg.max_step:
-            raise NewtonError(
-                f"diverged at iteration {used}: step norm {float(np.max(np.abs(dx))):.3e}",
-                residual=res,
-                iterations=used,
-            )
+            raise NewtonError("diverged", residual=res, iterations=used)
         x = x + dx
-    raise NewtonError(
-        f"no convergence after {cfg.max_iter} iterations, scaled residual {res:.3e}",
-        residual=res,
-        iterations=cfg.max_iter,
-    )
+    raise NewtonError("no convergence", residual=res, iterations=cfg.max_iter)
 
 
 def _warn_if_stiff(point: PhasePoint, params: NonlinearLagrangianParams) -> None:
     # linearized surrogate bound; advisory only, never enforced
-    z = abs(params.h) * params.omega * math.sqrt(abs(math.cos(point.q)))
+    z = abs(params.h) * math.sqrt(abs(params.potential.d2V(point.q)) / params.m)
     if z >= stability_limit():
         warnings.warn(
-            f"h*omega*sqrt|cos q| = {z:.3f} is at or beyond the linearized "
+            f"|h|*sqrt|V''(q)/m| = {z:.3f} is at or beyond the linearized "
             f"stability bound {stability_limit():.4f}",
             RuntimeWarning,
             stacklevel=3,
@@ -253,28 +277,17 @@ def run_pendulum(
     """Fold the implicit step n_steps times.
 
     Returns (points, iterations) with len(points) = n_steps + 1 and one
-    iteration count per step.  A solver failure is re-raised with the index
-    of the failing step attached to the message.
+    iteration count per step.
     """
-    if n_steps < 1:
-        raise ValueError("need at least one step")
     _warn_if_stiff(point, params)
-    points = [point]
     iterations = []
-    current = point
-    for j in range(n_steps):
-        try:
-            unknowns, used = newton_step_solve(current.p, current.q, params, cfg)
-        except NewtonError as exc:
-            raise NewtonError(
-                f"step {j + 1} of {n_steps}: {exc}",
-                residual=exc.residual,
-                iterations=exc.iterations,
-            ) from exc
-        current = PhasePoint(unknowns.p_next, unknowns.q_next)
-        points.append(current)
+
+    def step(pt: PhasePoint) -> PhasePoint:
+        unknowns, used = newton_step_solve(pt.p, pt.q, params, cfg)
         iterations.append(used)
-    return points, iterations
+        return PhasePoint(unknowns.p_next, unknowns.q_next)
+
+    return fold(step, point, n_steps), iterations
 
 
 def symplecticity_defect(
@@ -284,8 +297,6 @@ def symplecticity_defect(
     eps: float = 1e-6,
 ) -> float:
     """|det J - 1| for the central-difference Jacobian of the one-step map."""
-    from .analysis import map_jacobian_determinant
-
     det = map_jacobian_determinant(
         lambda pt: step_pendulum(pt, params, cfg), point, eps
     )

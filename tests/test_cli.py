@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import re
 import warnings
 
 import pytest
@@ -346,6 +347,9 @@ class TestExitCodes:
             )
         assert code == 3
         assert "solver failure" in err
+        assert "step 2 of 2" in err
+        residual = re.search(r"residual (\d\.\d+e[+-]\d+)", err).group(1)
+        assert err.count(residual) == 1
         assert not out.exists()
 
     def test_success_returns_zero(self, tmp_path):

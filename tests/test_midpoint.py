@@ -128,5 +128,7 @@ class TestRun:
             potential=pendulum_potential(1.0, W),
             solver=NewtonConfig(tol=1e-15, max_iter=1),
         )
-        with pytest.raises(NewtonError, match=r"step \d+ of 5"):
+        with pytest.raises(NewtonError, match=r"step \d+ of 5") as info:
             run_midpoint(PhasePoint(2.0, 1.0), params, 5)
+        assert info.value.reason == "no convergence"
+        assert 1 <= info.value.step <= 5 and info.value.n_steps == 5

@@ -216,11 +216,17 @@ class TestNewton:
         assert max(iters) <= 6
 
     def test_nonconvergence_reports_residual(self):
-        cfg = NewtonConfig(tol=1e-15, max_iter=1)
-        with pytest.raises(NewtonError) as info:
-            newton_step_solve(0.0, math.pi / 2.0, pendulum_params(), cfg)
-        assert info.value.iterations >= 1
-        assert math.isfinite(info.value.residual)
+        cases = [
+            (NewtonConfig(tol=1e-15, max_iter=1), "no convergence", 1),
+            (NewtonConfig(max_step=1e-12), "diverged", 0),
+        ]
+        for cfg, reason, iterations in cases:
+            with pytest.raises(NewtonError) as info:
+                newton_step_solve(0.0, math.pi / 2.0, pendulum_params(), cfg)
+            assert info.value.reason == reason
+            assert info.value.iterations == iterations
+            assert info.value.step is None and info.value.n_steps is None
+            assert math.isfinite(info.value.residual)
 
 
 class TestStepAndRun:
@@ -268,16 +274,21 @@ class TestStepAndRun:
     def test_run_reports_failing_step(self):
         params = pendulum_params()
         cfg = NewtonConfig(tol=1e-15, max_iter=1)
-        with pytest.raises(NewtonError, match=r"step 1 of 3"):
+        with pytest.raises(NewtonError, match=r"step 1 of 3") as info:
             run_pendulum(PhasePoint(0.0, math.pi / 2.0), params, 3, cfg)
+        exc = info.value
+        assert exc.reason == "no convergence"
+        assert (exc.step, exc.n_steps, exc.iterations) == (1, 3, 1)
 
     def test_stiff_step_warns(self):
-        params = pendulum_params(h=0.55)
-        with pytest.warns(RuntimeWarning):
-            try:
-                step_pendulum(PhasePoint(0.0, 0.1), params)
-            except NewtonError:
-                pass
+        # h * omega = 0.55 * 2 pi is past the bound for both potentials
+        cases = [(pendulum_params(h=0.55), 0.1), (harmonic_nl_params(h=0.55), math.pi / 2.0)]
+        for params, q in cases:
+            with pytest.warns(RuntimeWarning):
+                try:
+                    step_pendulum(PhasePoint(0.0, q), params)
+                except NewtonError:
+                    pass
 
     def test_action_stationarity_at_shared_node(self):
         params = pendulum_params()
