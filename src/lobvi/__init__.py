@@ -50,16 +50,16 @@ from .mechanics import (
     ElementState,
     PhasePoint,
     PotentialModel,
+    StepParams,
     energy,
     free_potential,
     harmonic_potential,
     pendulum_potential,
 )
-from .midpoint import MidpointStepParams, run_midpoint, step_midpoint
+from .midpoint import run_midpoint, step_midpoint
 from .pendulum import (
     NewtonConfig,
     NewtonError,
-    NonlinearLagrangianParams,
     StepUnknowns,
     discrete_lagrangian_nl,
     dynamics_residual,

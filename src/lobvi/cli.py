@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .analysis import (
@@ -25,9 +25,9 @@ from .analysis import (
 )
 from .exact import HarmonicExact, PendulumExact, harmonic_exact, pendulum_exact
 from .harmonic import HarmonicParams, run_harmonic
-from .mechanics import energy, harmonic_potential, pendulum_potential
-from .midpoint import MidpointStepParams, run_midpoint
-from .pendulum import NewtonError, NonlinearLagrangianParams, run_pendulum
+from .mechanics import StepParams, energy, harmonic_potential, pendulum_potential
+from .midpoint import run_midpoint
+from .pendulum import NewtonError, run_pendulum
 
 _COMMANDS = ("trajectory", "convergence", "drift", "stability")
 _SYSTEMS = ("harmonic", "pendulum")
@@ -56,6 +56,8 @@ class ExperimentConfig:
     meshes: tuple
     periods: int
     out: str
+    # exact-solution record of (system, amplitude, omega, m); validates them
+    reference: HarmonicExact | PendulumExact = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.command not in _COMMANDS:
@@ -78,19 +80,16 @@ class ExperimentConfig:
                     )
         if self.periods < 1:
             raise ConfigError(f"periods must be at least 1, got {self.periods}")
-        for name in ("m", "omega"):
-            val = getattr(self, name)
-            if not (math.isfinite(val) and val > 0.0):
-                raise ConfigError(f"{name} must be positive, got {val!r}")
-        if not math.isfinite(self.amplitude):
-            raise ConfigError(f"amplitude must be finite, got {self.amplitude!r}")
-        if self.system == "pendulum":
-            if not 0.0 < self.amplitude < math.pi:
-                raise ConfigError(
-                    f"pendulum release angle must lie in (0, pi), got {self.amplitude!r}"
-                )
-        elif self.amplitude == 0.0:
+        try:
+            if self.system == "harmonic":
+                reference = HarmonicExact(amplitude=self.amplitude, omega=self.omega, m=self.m)
+            else:
+                reference = PendulumExact(q0=self.amplitude, omega=self.omega, m=self.m)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if self.system == "harmonic" and self.amplitude == 0.0:
             raise ConfigError("harmonic amplitude must be nonzero")
+        object.__setattr__(self, "reference", reference)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -237,32 +236,27 @@ def parse_config(argv: Sequence[str]) -> ExperimentConfig:
 
 
 def _simulate(config: ExperimentConfig, n_per_period: int, periods: int) -> TrajectoryRecord:
-    m, w, a = config.m, config.omega, config.amplitude
+    m, w, ref = config.m, config.omega, config.reference
     if config.system == "harmonic":
         span = 2.0 * math.pi / w
-        ep = HarmonicExact(amplitude=a, omega=w, m=m)
-        exact_at = lambda t: harmonic_exact(t, ep)
+        exact_at = lambda t: harmonic_exact(t, ref)
         potential = harmonic_potential(m, w)
     else:
-        ep = PendulumExact(q0=a, omega=w, m=m)
-        span = ep.period
-        exact_at = lambda t: pendulum_exact(t, ep)
+        span = ref.period
+        exact_at = lambda t: pendulum_exact(t, ref)
         potential = pendulum_potential(m, w)
     h = span / n_per_period
     n = n_per_period * periods
     start = exact_at(0.0)
 
+    step = StepParams(m=m, h=h, potential=potential)
     discrete = None
-    if config.scheme == "lobatto" and config.system == "harmonic":
-        points, discrete = run_harmonic(start, HarmonicParams(m=m, omega=w, h=h), n)
-    elif config.scheme == "lobatto":
-        points, _ = run_pendulum(
-            start, NonlinearLagrangianParams(m=m, omega=w, h=h, potential=potential), n
-        )
+    if config.scheme == "midpoint":
+        points = run_midpoint(start, step, n)
+    elif config.system == "pendulum":
+        points, _ = run_pendulum(start, step, n)
     else:
-        points = run_midpoint(
-            start, MidpointStepParams(m=m, h=h, potential=potential), n
-        )
+        points, discrete = run_harmonic(start, HarmonicParams(m=m, omega=w, h=h), n)
 
     times = tuple(j * h for j in range(n + 1))
     return TrajectoryRecord(
@@ -360,7 +354,11 @@ def run(config: ExperimentConfig) -> int:
         "stability": _stability_lines,
     }[config.command]
     lines, summary = builder(config)
-    _write_lines(config.out, lines)
+    try:
+        _write_lines(config.out, lines)
+    except OSError as exc:
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     dest = "stdout" if config.out == "-" else config.out
     print(f"{config.command}: {summary} -> {dest}", file=sys.stderr)
     return 0

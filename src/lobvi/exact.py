@@ -18,8 +18,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
-from .mechanics import PhasePoint, PotentialModel
+from .mechanics import PhasePoint, PotentialModel, _require
 
 _EPS = sys.float_info.epsilon
 
@@ -33,10 +34,9 @@ class HarmonicExact:
     m: float
 
     def __post_init__(self):
-        if not self.m > 0.0:
-            raise ValueError(f"mass must be positive, got {self.m!r}")
-        if not self.omega > 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega!r}")
+        _require("amplitude", self.amplitude)
+        _require("omega", self.omega, self.omega > 0.0, "positive")
+        _require("m", self.m, self.m > 0.0, "positive")
 
 
 def harmonic_exact(t: float, params: HarmonicExact) -> PhasePoint:
@@ -94,26 +94,28 @@ class PendulumExact:
     m: float
 
     def __post_init__(self):
-        if not 0.0 < self.q0 < math.pi:
-            raise ValueError(f"release angle outside (0, pi): {self.q0!r}")
-        if not self.omega > 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega!r}")
-        if not self.m > 0.0:
-            raise ValueError(f"mass must be positive, got {self.m!r}")
+        _require("q0", self.q0, 0.0 < self.q0 < math.pi, "in (0, pi)")
+        _require("omega", self.omega, self.omega > 0.0, "positive")
+        _require("m", self.m, self.m > 0.0, "positive")
 
     @property
     def modulus(self) -> float:
         return math.sin(0.5 * self.q0)
 
+    @cached_property
+    def elliptic_K(self) -> float:
+        """K(modulus), computed once per record."""
+        return complete_elliptic_K(self.modulus)
+
     @property
     def period(self) -> float:
-        return 4.0 * complete_elliptic_K(self.modulus) / self.omega
+        return 4.0 * self.elliptic_K / self.omega
 
 
 def pendulum_exact(t: float, params: PendulumExact) -> PhasePoint:
     k = params.modulus
     kp = math.cos(0.5 * params.q0)
-    bigk = complete_elliptic_K(k)
+    bigk = params.elliptic_K
     # reduce by the full period 4K so long horizons keep full accuracy
     u = math.fmod(params.omega * t, 4.0 * bigk)
     sn, cn, dn = _sncndn(u, k)

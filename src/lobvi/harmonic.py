@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from . import compensated as dd
-from .mechanics import ElementState, PhasePoint
+from .mechanics import ElementState, PhasePoint, _require
 from .quadrature import SQRT5, XI
 
 
@@ -39,12 +39,9 @@ class HarmonicParams:
     h: float
 
     def __post_init__(self):
-        if not self.m > 0.0:
-            raise ValueError(f"mass must be positive, got {self.m!r}")
-        if not self.omega >= 0.0:
-            raise ValueError(f"omega must be nonnegative, got {self.omega!r}")
-        if self.h == 0.0:
-            raise ValueError("step size must be nonzero")
+        _require("m", self.m, self.m > 0.0, "positive")
+        _require("omega", self.omega, self.omega >= 0.0, "nonnegative")
+        _require("h", self.h, self.h != 0.0, "nonzero")
 
 
 @dataclass(frozen=True)

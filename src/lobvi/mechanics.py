@@ -1,8 +1,8 @@
-"""Shared state containers and potential models.
+"""Shared state containers, potential models and the parameter rule.
 
-Everything downstream works with three small immutable records: a phase
-point (p, q), the four node values of one time element, and a potential
-bundled with its first two derivatives.
+Small immutable records: a phase point (p, q), the node values of one time
+element, a potential with its first two derivatives, and the parameters of
+one implicit step.  Every parameter record checks its fields with `_require`.
 """
 
 from __future__ import annotations
@@ -10,6 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+
+def _require(name: str, value: float, ok: bool = True, want: str = "") -> None:
+    """The one rule for parameter fields: finite and meeting its condition."""
+    if not (math.isfinite(value) and ok):
+        cond = f"finite and {want}" if want else "finite"
+        raise ValueError(f"{name} must be {cond}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -41,6 +48,22 @@ class PotentialModel:
     V: Callable[[float], float]
     dV: Callable[[float], float]
     d2V: Callable[[float], float]
+
+
+@dataclass(frozen=True)
+class StepParams:
+    """Mass, step size and potential of one implicit step (Lobatto or midpoint).
+
+    h may be negative for reverse stepping (time-reversal checks).
+    """
+
+    m: float
+    h: float
+    potential: PotentialModel
+
+    def __post_init__(self):
+        _require("m", self.m, self.m > 0.0, "positive")
+        _require("h", self.h, self.h != 0.0, "nonzero")
 
 
 def harmonic_potential(m: float, omega: float) -> PotentialModel:

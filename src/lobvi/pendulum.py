@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import map_jacobian_determinant
 from .harmonic import kinetic_form, stability_limit
-from .mechanics import ElementState, PhasePoint, PotentialModel
+from .mechanics import ElementState, PhasePoint, StepParams, _require
 from .quadrature import SQRT5, XI
 
 
@@ -44,31 +44,9 @@ class NewtonConfig:
     max_step: float = 1e6
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iter < 1:
-            raise ValueError("need at least one iteration")
-
-
-@dataclass(frozen=True)
-class NonlinearLagrangianParams:
-    """Mass, frequency scale, step size, and the potential model.
-
-    h may be negative for reverse stepping (time-reversal checks).
-    """
-
-    m: float
-    omega: float
-    h: float
-    potential: PotentialModel
-
-    def __post_init__(self):
-        if not self.m > 0.0:
-            raise ValueError(f"mass must be positive, got {self.m!r}")
-        if not self.omega > 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega!r}")
-        if self.h == 0.0:
-            raise ValueError("step size must be nonzero")
+        _require("tol", self.tol, self.tol > 0.0, "positive")
+        _require("max_iter", self.max_iter, self.max_iter >= 1, "at least 1")
+        _require("max_step", self.max_step, self.max_step > 0.0, "positive")
 
 
 class NewtonError(RuntimeError):
@@ -113,7 +91,7 @@ def fold(step: Callable[[PhasePoint], PhasePoint], point: PhasePoint, n_steps: i
     return points
 
 
-def discrete_lagrangian_nl(element: ElementState, params: NonlinearLagrangianParams) -> float:
+def discrete_lagrangian_nl(element: ElementState, params: StepParams) -> float:
     """Element action with the potential integrated by the Lobatto rule."""
     e = element
     V = params.potential.V
@@ -123,7 +101,7 @@ def discrete_lagrangian_nl(element: ElementState, params: NonlinearLagrangianPar
 
 
 def internal_equations_residual(
-    unknowns: StepUnknowns, q_l: float, q_r: float, params: NonlinearLagrangianParams
+    unknowns: StepUnknowns, q_l: float, q_r: float, params: StepParams
 ) -> tuple:
     """Left minus right of the two interior stationarity equations.
 
@@ -141,7 +119,7 @@ def internal_equations_residual(
 
 
 def dynamics_residual(
-    unknowns: StepUnknowns, p_j: float, q_j: float, params: NonlinearLagrangianParams
+    unknowns: StepUnknowns, p_j: float, q_j: float, params: StepParams
 ) -> tuple:
     """Left sides of the momentum and state update equations.
 
@@ -165,7 +143,7 @@ def dynamics_residual(
     return (r3, r4)
 
 
-def jacobian_dFL(unknowns: StepUnknowns, params: NonlinearLagrangianParams) -> np.ndarray:
+def jacobian_dFL(unknowns: StepUnknowns, params: StepParams) -> np.ndarray:
     """Analytic 4x4 Jacobian of the residual in (q_xi, q_xic, p_next, q_next).
 
     Row order matches (internal xi, internal xic, momentum update, state
@@ -194,7 +172,7 @@ def jacobian_dFL(unknowns: StepUnknowns, params: NonlinearLagrangianParams) -> n
 
 
 def _residual_vector(
-    x: np.ndarray, p_j: float, q_j: float, params: NonlinearLagrangianParams
+    x: np.ndarray, p_j: float, q_j: float, params: StepParams
 ) -> np.ndarray:
     u = StepUnknowns(x[0], x[1], x[2], x[3])
     r1, r2 = internal_equations_residual(u, q_j, u.q_next, params)
@@ -205,7 +183,7 @@ def _residual_vector(
 def newton_step_solve(
     p_j: float,
     q_j: float,
-    params: NonlinearLagrangianParams,
+    params: StepParams,
     cfg: Optional[NewtonConfig] = None,
 ) -> tuple:
     """Solve one step; returns (StepUnknowns, iterations used).
@@ -231,7 +209,7 @@ def newton_step_solve(
         f = _residual_vector(x, p_j, q_j, params)
         res = float(np.max(np.abs(f) / scale))
         if res <= cfg.tol:
-            return StepUnknowns(x[0], x[1], x[2], x[3]), used
+            return StepUnknowns(*x.tolist()), used
         if used == cfg.max_iter:
             break
         jac = jacobian_dFL(StepUnknowns(x[0], x[1], x[2], x[3]), params)
@@ -245,7 +223,7 @@ def newton_step_solve(
     raise NewtonError("no convergence", residual=res, iterations=cfg.max_iter)
 
 
-def _warn_if_stiff(point: PhasePoint, params: NonlinearLagrangianParams) -> None:
+def _warn_if_stiff(point: PhasePoint, params: StepParams) -> None:
     # linearized surrogate bound; advisory only, never enforced
     z = abs(params.h) * math.sqrt(abs(params.potential.d2V(point.q)) / params.m)
     if z >= stability_limit():
@@ -259,7 +237,7 @@ def _warn_if_stiff(point: PhasePoint, params: NonlinearLagrangianParams) -> None
 
 def step_pendulum(
     point: PhasePoint,
-    params: NonlinearLagrangianParams,
+    params: StepParams,
     cfg: Optional[NewtonConfig] = None,
 ) -> PhasePoint:
     """Advance one step; propagates NewtonError on solver failure."""
@@ -270,7 +248,7 @@ def step_pendulum(
 
 def run_pendulum(
     point: PhasePoint,
-    params: NonlinearLagrangianParams,
+    params: StepParams,
     n_steps: int,
     cfg: Optional[NewtonConfig] = None,
 ) -> tuple:
@@ -280,6 +258,8 @@ def run_pendulum(
     iteration count per step.
     """
     _warn_if_stiff(point, params)
+    if cfg is None:
+        cfg = NewtonConfig()
     iterations = []
 
     def step(pt: PhasePoint) -> PhasePoint:
@@ -292,7 +272,7 @@ def run_pendulum(
 
 def symplecticity_defect(
     point: PhasePoint,
-    params: NonlinearLagrangianParams,
+    params: StepParams,
     cfg: Optional[NewtonConfig] = None,
     eps: float = 1e-6,
 ) -> float:

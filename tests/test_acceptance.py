@@ -30,13 +30,15 @@ from lobvi.harmonic import (
     transfer_matrix,
     truncation_leading_term,
 )
-from lobvi.mechanics import PhasePoint, energy, harmonic_potential, pendulum_potential
-from lobvi.midpoint import MidpointStepParams, run_midpoint
-from lobvi.pendulum import (
-    NonlinearLagrangianParams,
-    run_pendulum,
-    symplecticity_defect,
+from lobvi.mechanics import (
+    PhasePoint,
+    StepParams,
+    energy,
+    harmonic_potential,
+    pendulum_potential,
 )
+from lobvi.midpoint import run_midpoint
+from lobvi.pendulum import run_pendulum, symplecticity_defect
 from lobvi.quadrature import assemble_stiffness, integrate_unit, stiffness_matrix
 
 W = 2.0 * math.pi
@@ -89,7 +91,7 @@ def pendulum_record(n, periods=1, h=None):
         steps = n * periods
     else:
         steps = int(round(periods * ref.period / h))
-    params = NonlinearLagrangianParams(m=1.0, omega=W, h=h, potential=pot)
+    params = StepParams(m=1.0, h=h, potential=pot)
     pts, iters = run_pendulum(pendulum_exact(0.0, ref), params, steps)
     times = tuple(j * h for j in range(steps + 1))
     rec = TrajectoryRecord(
@@ -227,9 +229,7 @@ def test_nonlinear_consistency():
     n = 20
     hp = HarmonicParams(m=1.0, omega=W, h=1.0 / n)
     tm = transfer_matrix(hp)
-    params = NonlinearLagrangianParams(
-        m=1.0, omega=W, h=1.0 / n, potential=harmonic_potential(1.0, W)
-    )
+    params = StepParams(m=1.0, h=1.0 / n, potential=harmonic_potential(1.0, W))
     newton_pts, _ = run_pendulum(PhasePoint(0.0, math.pi / 2.0), params, n)
     worst = 0.0
     linear = PhasePoint(0.0, math.pi / 2.0)
@@ -293,9 +293,7 @@ def test_newton_performance():
 def test_nonlinear_symplecticity():
     t0 = perf_counter()
     ref = PendulumExact(q0=math.pi / 2.0, omega=W, m=1.0)
-    params = NonlinearLagrangianParams(
-        m=1.0, omega=W, h=ref.period / 50.0, potential=pendulum_potential(1.0, W)
-    )
+    params = StepParams(m=1.0, h=ref.period / 50.0, potential=pendulum_potential(1.0, W))
     worst = 0.0
     for q in np.linspace(-3.0, 3.0, 5):
         for p in np.linspace(-3.0 * W, 3.0 * W, 5):
@@ -337,7 +335,7 @@ def test_baseline_separation():
     for n in (10, 20):
         h = 1.0 / n
         pts = run_midpoint(
-            PhasePoint(0.0, math.pi / 2.0), MidpointStepParams(m=1.0, h=h, potential=pot), n
+            PhasePoint(0.0, math.pi / 2.0), StepParams(m=1.0, h=h, potential=pot), n
         )
         mid_errs.append(
             max(abs(pt.q - harmonic_exact(j * h, ref).q) for j, pt in enumerate(pts))

@@ -352,6 +352,20 @@ class TestExitCodes:
         assert err.count(residual) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "via_file", [False, True], ids=["missing-directory", "empty-config-value"]
+    )
+    def test_unwritable_output_is_config_error(self, tmp_path, via_file):
+        if via_file:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("out =\n")
+            target = ["--config", str(cfg)]
+        else:
+            target = ["--out", str(tmp_path / "missing" / "t.csv")]
+        code, err = call_main(["trajectory", "--meshes", "4", *target])
+        assert code == 2
+        assert "config error: cannot write output:" in err
+
     def test_success_returns_zero(self, tmp_path):
         code, _ = call_main(
             ["trajectory", "--meshes", "4", "--out", str(tmp_path / "ok.csv")]

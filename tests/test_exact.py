@@ -5,6 +5,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 
+import lobvi.exact
 from lobvi.exact import (
     HarmonicExact,
     PendulumExact,
@@ -57,6 +58,12 @@ class TestHarmonicExact:
             HarmonicExact(amplitude=1.0, omega=0.0, m=1.0)
         with pytest.raises(ValueError):
             HarmonicExact(amplitude=1.0, omega=W, m=0.0)
+        for name in ("amplitude", "omega", "m"):
+            for bad in (math.nan, math.inf):
+                fields = dict(amplitude=1.0, omega=W, m=1.0)
+                fields[name] = bad
+                with pytest.raises(ValueError, match=rf"^{name} must be"):
+                    HarmonicExact(**fields)
 
 
 class TestCompleteEllipticK:
@@ -156,6 +163,25 @@ class TestPendulumExact:
             PendulumExact(q0=1.0, omega=0.0, m=1.0)
         with pytest.raises(ValueError):
             PendulumExact(q0=1.0, omega=W, m=-1.0)
+        for name in ("q0", "omega", "m"):
+            for bad in (math.nan, math.inf):
+                fields = dict(q0=1.0, omega=W, m=1.0)
+                fields[name] = bad
+                with pytest.raises(ValueError, match=rf"^{name} must be"):
+                    PendulumExact(**fields)
+
+    def test_modulus_K_is_computed_once_per_record(self, monkeypatch):
+        calls = []
+
+        def counted(k):
+            calls.append(k)
+            return complete_elliptic_K(k)
+
+        monkeypatch.setattr(lobvi.exact, "complete_elliptic_K", counted)
+        params = PendulumExact(q0=1.0, omega=W, m=1.0)
+        for j in range(100):
+            pendulum_exact(0.01 * j, params)
+        assert len(calls) <= 1
 
 
 class TestOracleIntegrate:

@@ -47,6 +47,12 @@ class TestParams:
             HarmonicParams(m=1.0, omega=-1.0, h=0.1)
         with pytest.raises(ValueError):
             HarmonicParams(m=1.0, omega=1.0, h=0.0)
+        for name in ("m", "omega", "h"):
+            for bad in (math.nan, math.inf):
+                fields = dict(m=1.0, omega=1.0, h=0.1)
+                fields[name] = bad
+                with pytest.raises(ValueError, match=rf"^{name} must be"):
+                    HarmonicParams(**fields)
 
     def test_zero_frequency_and_reverse_step_allowed(self):
         HarmonicParams(m=1.0, omega=0.0, h=0.1)

@@ -5,28 +5,28 @@ import pytest
 from lobvi.analysis import map_jacobian_determinant
 from lobvi.exact import HarmonicExact, PendulumExact, harmonic_exact, pendulum_exact
 from lobvi.harmonic import HarmonicParams, run_harmonic
-from lobvi.mechanics import PhasePoint, harmonic_potential, pendulum_potential
-from lobvi.midpoint import MidpointStepParams, run_midpoint, step_midpoint
+from lobvi.mechanics import PhasePoint, StepParams, harmonic_potential, pendulum_potential
+from lobvi.midpoint import run_midpoint, step_midpoint
 from lobvi.pendulum import NewtonConfig, NewtonError
 
 W = 2.0 * math.pi
 
 
 def harmonic_mid(h, m=1.0):
-    return MidpointStepParams(m=m, h=h, potential=harmonic_potential(m, W))
+    return StepParams(m=m, h=h, potential=harmonic_potential(m, W))
 
 
 def pendulum_mid(h, m=1.0):
-    return MidpointStepParams(m=m, h=h, potential=pendulum_potential(m, W))
+    return StepParams(m=m, h=h, potential=pendulum_potential(m, W))
 
 
 class TestValidation:
     def test_rejects_bad_params(self):
         pot = harmonic_potential(1.0, W)
         with pytest.raises(ValueError):
-            MidpointStepParams(m=0.0, h=0.1, potential=pot)
+            StepParams(m=0.0, h=0.1, potential=pot)
         with pytest.raises(ValueError):
-            MidpointStepParams(m=1.0, h=0.0, potential=pot)
+            StepParams(m=1.0, h=0.0, potential=pot)
 
     def test_run_needs_a_step(self):
         with pytest.raises(ValueError):
@@ -42,7 +42,7 @@ class TestStep:
         """For V = k q^2 / 2 the midpoint map is exactly the Cayley transform
         of the Hamiltonian flow; check the closed form entrywise."""
         h, m = 0.07, 1.3
-        params = MidpointStepParams(m=m, h=h, potential=harmonic_potential(m, W))
+        params = StepParams(m=m, h=h, potential=harmonic_potential(m, W))
         z = (h * W / 2.0) ** 2
         for p0, q0 in ((1.0, 0.0), (0.0, 1.0), (-0.4, 0.9)):
             got = step_midpoint(PhasePoint(p0, q0), params)
@@ -60,14 +60,10 @@ class TestStep:
         assert abs(det - 1.0) <= 1e-8
 
     def test_solver_cap_raises(self):
-        params = MidpointStepParams(
-            m=1.0,
-            h=0.3,
-            potential=pendulum_potential(1.0, W),
-            solver=NewtonConfig(tol=1e-15, max_iter=1),
-        )
+        params = StepParams(m=1.0, h=0.3, potential=pendulum_potential(1.0, W))
+        cfg = NewtonConfig(tol=1e-15, max_iter=1)
         with pytest.raises(NewtonError):
-            step_midpoint(PhasePoint(2.0, 1.0), params)
+            step_midpoint(PhasePoint(2.0, 1.0), params, cfg)
 
 
 class TestOrder:
@@ -122,13 +118,13 @@ class TestRun:
         assert len(pts) == 8
 
     def test_failing_step_is_identified(self):
-        params = MidpointStepParams(
-            m=1.0,
-            h=0.3,
-            potential=pendulum_potential(1.0, W),
-            solver=NewtonConfig(tol=1e-15, max_iter=1),
-        )
-        with pytest.raises(NewtonError, match=r"step \d+ of 5") as info:
-            run_midpoint(PhasePoint(2.0, 1.0), params, 5)
-        assert info.value.reason == "no convergence"
-        assert 1 <= info.value.step <= 5 and info.value.n_steps == 5
+        params = StepParams(m=1.0, h=0.3, potential=pendulum_potential(1.0, W))
+        cases = [
+            (NewtonConfig(tol=1e-15, max_iter=1), "no convergence"),
+            (NewtonConfig(max_step=1e-12), "diverged"),
+        ]
+        for cfg, reason in cases:
+            with pytest.raises(NewtonError, match=r"step \d+ of 5") as info:
+                run_midpoint(PhasePoint(2.0, 1.0), params, 5, cfg)
+            assert info.value.reason == reason
+            assert 1 <= info.value.step <= 5 and info.value.n_steps == 5

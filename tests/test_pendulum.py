@@ -11,6 +11,7 @@ from lobvi.harmonic import discrete_lagrangian as discrete_lagrangian_harmonic
 from lobvi.mechanics import (
     ElementState,
     PhasePoint,
+    StepParams,
     energy,
     free_potential,
     harmonic_potential,
@@ -19,7 +20,6 @@ from lobvi.mechanics import (
 from lobvi.pendulum import (
     NewtonConfig,
     NewtonError,
-    NonlinearLagrangianParams,
     StepUnknowns,
     discrete_lagrangian_nl,
     dynamics_residual,
@@ -38,15 +38,11 @@ PERIOD = EXACT.period
 
 
 def pendulum_params(h=PERIOD / 50.0, m=1.0):
-    return NonlinearLagrangianParams(
-        m=m, omega=W, h=h, potential=pendulum_potential(m, W)
-    )
+    return StepParams(m=m, h=h, potential=pendulum_potential(m, W))
 
 
 def harmonic_nl_params(h=0.05, m=1.0):
-    return NonlinearLagrangianParams(
-        m=m, omega=W, h=h, potential=harmonic_potential(m, W)
-    )
+    return StepParams(m=m, h=h, potential=harmonic_potential(m, W))
 
 
 lengths = st.floats(-3.0, 3.0, allow_nan=False)
@@ -55,18 +51,24 @@ lengths = st.floats(-3.0, 3.0, allow_nan=False)
 class TestValidation:
     def test_params(self):
         pot = pendulum_potential(1.0, W)
-        with pytest.raises(ValueError):
-            NonlinearLagrangianParams(m=0.0, omega=W, h=0.1, potential=pot)
-        with pytest.raises(ValueError):
-            NonlinearLagrangianParams(m=1.0, omega=0.0, h=0.1, potential=pot)
-        with pytest.raises(ValueError):
-            NonlinearLagrangianParams(m=1.0, omega=W, h=0.0, potential=pot)
+        cases = [("m", 0.0), ("h", 0.0)]
+        cases += [(name, bad) for name in ("m", "h") for bad in (math.nan, math.inf)]
+        for name, value in cases:
+            fields = dict(m=1.0, h=0.1, potential=pot)
+            fields[name] = value
+            with pytest.raises(ValueError, match=rf"^{name} must be"):
+                StepParams(**fields)
 
     def test_newton_config(self):
-        with pytest.raises(ValueError):
-            NewtonConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            NewtonConfig(max_iter=0)
+        cases = [("tol", 0.0), ("max_iter", 0), ("max_step", -1.0)]
+        cases += [
+            (name, bad)
+            for name in ("tol", "max_iter", "max_step")
+            for bad in (math.nan, math.inf)
+        ]
+        for name, value in cases:
+            with pytest.raises(ValueError, match=rf"^{name} must be"):
+                NewtonConfig(**{name: value})
 
 
 class TestDiscreteLagrangianNL:
@@ -98,9 +100,7 @@ class TestInternalEquations:
         assert abs(r1) <= 1e-12 and abs(r2) <= 1e-12
 
     def test_free_motion_linear_interpolant(self):
-        params = NonlinearLagrangianParams(
-            m=1.0, omega=1.0, h=0.3, potential=free_potential()
-        )
+        params = StepParams(m=1.0, h=0.3, potential=free_potential())
         q_l, q_r = 0.2, 1.4
         u = StepUnknowns(
             q_xi=(1 - XI) * q_l + XI * q_r,
@@ -131,9 +131,7 @@ class TestDynamicsResidual:
         assert abs(r3) <= 1e-11 and abs(r4) <= 1e-11
 
     def test_free_motion_iff_drift(self):
-        params = NonlinearLagrangianParams(
-            m=2.0, omega=1.0, h=0.25, potential=free_potential()
-        )
+        params = StepParams(m=2.0, h=0.25, potential=free_potential())
         p0, q0 = 1.2, 0.3
         drift = q0 + 0.25 * p0 / 2.0
         good = StepUnknowns(0.0, 0.0, p_next=p0, q_next=drift)
@@ -149,9 +147,7 @@ class TestDynamicsResidual:
 
 class TestJacobian:
     def test_zero_curvature_structure(self):
-        params = NonlinearLagrangianParams(
-            m=2.0, omega=1.0, h=0.3, potential=free_potential()
-        )
+        params = StepParams(m=2.0, h=0.3, potential=free_potential())
         u = StepUnknowns(0.1, 0.2, 0.3, 0.4)
         J = jacobian_dFL(u, params)
         want = np.eye(4)
@@ -165,7 +161,7 @@ class TestJacobian:
         second-order term carries 1/m^2 (the FD oracle below is the referee)."""
         for m in (1.0, 2.0):
             pot = pendulum_potential(m, W)
-            params = NonlinearLagrangianParams(m=m, omega=W, h=0.03, potential=pot)
+            params = StepParams(m=m, h=0.03, potential=pot)
             u = StepUnknowns(q_xi=0.4, q_xic=0.9, p_next=0.2, q_next=1.1)
             det = np.linalg.det(jacobian_dFL(u, params))
             v2a, v2b = pot.d2V(u.q_xi), pot.d2V(u.q_xic)
@@ -237,6 +233,7 @@ class TestStepAndRun:
     def test_period_return(self):
         params = pendulum_params()
         pts, _ = run_pendulum(PhasePoint(0.0, math.pi / 2.0), params, 50)
+        assert type(pts[-1].q) is float and type(pts[-1].p) is float
         assert abs(pts[-1].p - 0.0) <= 5e-9
         h0 = energy(pts[0], params.potential, params.m)
         h1 = energy(pts[-1], params.potential, params.m)
