@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -33,6 +34,8 @@ _COMMANDS = ("trajectory", "convergence", "drift", "stability")
 _SYSTEMS = ("harmonic", "pendulum")
 _SCHEMES = ("lobatto", "midpoint")
 _FILE_KEYS = ("system", "scheme", "meshes", "periods", "mass", "omega", "amplitude", "out")
+# option that sets each field of the exact-reference records
+_OPTION_OF_FIELD = {"m": "mass", "omega": "omega", "amplitude": "amplitude", "q0": "amplitude"}
 
 # the scan covers the upper end of the admissible range at 0.01 spacing
 _STABILITY_GRID = tuple((280 + i) / 100.0 for i in range(37))
@@ -80,13 +83,15 @@ class ExperimentConfig:
                     )
         if self.periods < 1:
             raise ConfigError(f"periods must be at least 1, got {self.periods}")
+        if not self.out:
+            raise ConfigError("cannot write output: empty path")
         try:
             if self.system == "harmonic":
                 reference = HarmonicExact(amplitude=self.amplitude, omega=self.omega, m=self.m)
             else:
                 reference = PendulumExact(q0=self.amplitude, omega=self.omega, m=self.m)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ConfigError(f"{_OPTION_OF_FIELD[exc.field]}: {exc}") from None
         if self.system == "harmonic" and self.amplitude == 0.0:
             raise ConfigError("harmonic amplitude must be nonzero")
         object.__setattr__(self, "reference", reference)
@@ -345,8 +350,19 @@ def _write_lines(out: str, lines) -> None:
             fh.write(text)
 
 
+def _cannot_write(reason) -> int:
+    print(f"config error: cannot write output: {reason}", file=sys.stderr)
+    return 2
+
+
 def run(config: ExperimentConfig) -> int:
-    """Execute one experiment; writes the CSV and a summary line on stderr."""
+    """Execute one experiment; writes the CSV and a summary line on stderr.
+
+    A missing output directory is reported before any simulation runs.
+    """
+    folder = os.path.dirname(config.out)
+    if config.out != "-" and folder and not os.path.isdir(folder):
+        return _cannot_write(f"no such directory: {folder!r}")
     builder = {
         "trajectory": _trajectory_lines,
         "convergence": _convergence_lines,
@@ -357,8 +373,7 @@ def run(config: ExperimentConfig) -> int:
     try:
         _write_lines(config.out, lines)
     except OSError as exc:
-        print(f"config error: cannot write output: {exc}", file=sys.stderr)
-        return 2
+        return _cannot_write(exc)
     dest = "stdout" if config.out == "-" else config.out
     print(f"{config.command}: {summary} -> {dest}", file=sys.stderr)
     return 0

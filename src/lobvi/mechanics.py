@@ -13,10 +13,15 @@ from typing import Callable
 
 
 def _require(name: str, value: float, ok: bool = True, want: str = "") -> None:
-    """The one rule for parameter fields: finite and meeting its condition."""
+    """The one rule for parameter fields: finite and meeting its condition.
+
+    The ValueError it raises carries the field name as its `field`.
+    """
     if not (math.isfinite(value) and ok):
         cond = f"finite and {want}" if want else "finite"
-        raise ValueError(f"{name} must be {cond}, got {value!r}")
+        exc = ValueError(f"{name} must be {cond}, got {value!r}")
+        exc.field = name
+        raise exc
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Implicit Lobatto step for nonlinear potentials, specialized to the pendulum.
 
 Once the potential is nonlinear the two interior element nodes cannot be
-eliminated, so each step solves a four-dimensional system F(u) = 0 in the
-unknowns (q_xi, q_xic, p_next, q_next): two interior stationarity equations
-plus the momentum and state updates.  Newton with the analytic Jacobian
-reaches the 1e-13 scaled-residual tolerance in a handful of iterations at
-any sane step size.
+eliminated, so each step solves F(u) = 0 in the unknowns (q_xi, q_xic,
+p_next, q_next): two interior stationarity equations plus the momentum and
+state updates.  p_next enters the Jacobian only through the column
+(0, 0, 1, -h/2m), so each Newton increment eliminates it and solves the
+remaining 3x3 system in (q_xi, q_xic, q_next) in closed form with Python
+floats.  Newton with the analytic Jacobian reaches the 1e-13 scaled-residual
+tolerance in a handful of iterations at any sane step size.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
-
-import numpy as np
 
 from .analysis import map_jacobian_determinant
 from .harmonic import kinetic_form, stability_limit
@@ -119,19 +119,23 @@ def internal_equations_residual(
 
 
 def dynamics_residual(
-    unknowns: StepUnknowns, p_j: float, q_j: float, params: StepParams
+    unknowns: StepUnknowns,
+    p_j: float,
+    q_j: float,
+    params: StepParams,
+    dv_j: Optional[float] = None,
 ) -> tuple:
     """Left sides of the momentum and state update equations.
 
     Momentum update carries the (1, 5, 5, 1)/12 force weights; the state
     update carries the sqrt(5)-weighted interior force difference and the
-    averaged momentum.
+    averaged momentum.  dv_j is V'(q_j) when the caller already has it.
     """
     dV = params.potential.dV
     h, m = params.h, params.m
     vx = dV(unknowns.q_xi)
     vc = dV(unknowns.q_xic)
-    v0 = dV(q_j)
+    v0 = dV(q_j) if dv_j is None else dv_j
     v1 = dV(unknowns.q_next)
     r3 = unknowns.p_next - p_j + h * (v0 + 5.0 * (vx + vc) + v1) / 12.0
     r4 = (
@@ -143,12 +147,14 @@ def dynamics_residual(
     return (r3, r4)
 
 
-def jacobian_dFL(unknowns: StepUnknowns, params: StepParams) -> np.ndarray:
+def jacobian_dFL(unknowns: StepUnknowns, params: StepParams) -> tuple:
     """Analytic 4x4 Jacobian of the residual in (q_xi, q_xic, p_next, q_next).
 
-    Row order matches (internal xi, internal xic, momentum update, state
-    update).  det = 1 + (h^2/60m)(V''_xi + V''_xic) + (h^4/1800 m^2) V''_xi V''_xic,
-    so it tends to 1 as h shrinks and the solve stays well conditioned.
+    Returned as four rows of floats in equation order (internal xi, internal
+    xic, momentum update, state update).  p_next enters only through the
+    column (0, 0, 1, -h/2m).  det = 1 + (h^2/60m)(V''_xi + V''_xic)
+    + (h^4/1800 m^2) V''_xi V''_xic, so it tends to 1 as h shrinks and the
+    solve stays well conditioned.
     """
     d2V = params.potential.d2V
     h, m = params.h, params.m
@@ -156,28 +162,17 @@ def jacobian_dFL(unknowns: StepUnknowns, params: StepParams) -> np.ndarray:
     vc = d2V(unknowns.q_xic)
     vn = d2V(unknowns.q_next)
     h2m = h * h / m
-    return np.array(
-        [
-            [1.0 - h2m / 15.0 * vx, -h2m / 30.0 * vc, 0.0, -XI],
-            [-h2m / 30.0 * vx, 1.0 - h2m / 15.0 * vc, 0.0, -(1.0 - XI)],
-            [5.0 * h / 12.0 * vx, 5.0 * h / 12.0 * vc, 1.0, h / 12.0 * vn],
-            [
-                SQRT5 * h2m / 24.0 * vx,
-                -SQRT5 * h2m / 24.0 * vc,
-                -h / (2.0 * m),
-                1.0 - h2m / 24.0 * vn,
-            ],
-        ]
+    return (
+        (1.0 - h2m / 15.0 * vx, -h2m / 30.0 * vc, 0.0, -XI),
+        (-h2m / 30.0 * vx, 1.0 - h2m / 15.0 * vc, 0.0, -(1.0 - XI)),
+        (5.0 * h / 12.0 * vx, 5.0 * h / 12.0 * vc, 1.0, h / 12.0 * vn),
+        (
+            SQRT5 * h2m / 24.0 * vx,
+            -SQRT5 * h2m / 24.0 * vc,
+            -h / (2.0 * m),
+            1.0 - h2m / 24.0 * vn,
+        ),
     )
-
-
-def _residual_vector(
-    x: np.ndarray, p_j: float, q_j: float, params: StepParams
-) -> np.ndarray:
-    u = StepUnknowns(x[0], x[1], x[2], x[3])
-    r1, r2 = internal_equations_residual(u, q_j, u.q_next, params)
-    r3, r4 = dynamics_residual(u, p_j, q_j, params)
-    return np.array([r1, r2, r3, r4])
 
 
 def newton_step_solve(
@@ -192,34 +187,50 @@ def newton_step_solve(
     free-drift prediction, p_next = p_j, q_next = drift.  Exact for V = 0,
     O(h^2) otherwise.  Residual components are scaled by max(1, |q_j|) or
     max(1, |p_j|) so the tolerance is unit consistent.
+
+    Each increment eliminates dp_next from the state row with the momentum
+    row, solves the 3x3 in (q_xi, q_xic, q_next) by Cramer's rule and
+    recovers dp_next from the momentum row; the 3x3 determinant is det J.
     """
     if cfg is None:
         cfg = NewtonConfig()
     m, h = params.m, params.h
+    dv_j = params.potential.dV(q_j)
     drift = q_j + h * p_j / m
-    x = np.array(
-        [(1.0 - XI) * q_j + XI * drift, XI * q_j + (1.0 - XI) * drift, p_j, drift]
-    )
+    # a, b, p, n stand for q_xi, q_xic, p_next, q_next
+    a, b, p, n = (1.0 - XI) * q_j + XI * drift, XI * q_j + (1.0 - XI) * drift, p_j, drift
     sq = max(1.0, abs(q_j))
     sp = max(1.0, abs(p_j))
-    scale = np.array([sq, sq, sp, sq])
 
     res = math.inf
     for used in range(cfg.max_iter + 1):
-        f = _residual_vector(x, p_j, q_j, params)
-        res = float(np.max(np.abs(f) / scale))
+        u = StepUnknowns(a, b, p, n)
+        f1, f2 = internal_equations_residual(u, q_j, n, params)
+        f3, f4 = dynamics_residual(u, p_j, q_j, params, dv_j)
+        res = max(abs(f1) / sq, abs(f2) / sq, abs(f3) / sp, abs(f4) / sq)
         if res <= cfg.tol:
-            return StepUnknowns(*x.tolist()), used
+            return u, used
         if used == cfg.max_iter:
             break
-        jac = jacobian_dFL(StepUnknowns(x[0], x[1], x[2], x[3]), params)
-        try:
-            dx = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonError("singular Jacobian", residual=res, iterations=used) from exc
-        if float(np.max(np.abs(dx))) > cfg.max_step:
+        (j11, j12, _, j14), (j21, j22, _, j24), (j31, j32, _, j34), (
+            j41, j42, j43, j44
+        ) = jacobian_dFL(u, params)
+        # state row minus j43 times the momentum row: dp_next drops out
+        k1, k2, k4 = j41 - j43 * j31, j42 - j43 * j32, j44 - j43 * j34
+        g1, g2, g4 = -f1, -f2, j43 * f3 - f4
+        # Cramer's rule; c and e are the 2x2 minors shared by the determinants
+        c1, c2, c3 = j22 * k4 - j24 * k2, j21 * k4 - j24 * k1, j21 * k2 - j22 * k1
+        e1, e2, e3 = g2 * k4 - j24 * g4, g2 * k2 - j22 * g4, j21 * g4 - g2 * k1
+        det = j11 * c1 - j12 * c2 + j14 * c3
+        if det == 0.0 or not math.isfinite(det):
+            raise NewtonError("singular Jacobian", residual=res, iterations=used)
+        da = (g1 * c1 - j12 * e1 + j14 * e2) / det
+        db = (j11 * e1 - g1 * c2 + j14 * e3) / det
+        dn = (-j11 * e2 - j12 * e3 + g1 * c3) / det
+        dp = -f3 - j31 * da - j32 * db - j34 * dn
+        if max(abs(da), abs(db), abs(dp), abs(dn)) > cfg.max_step:
             raise NewtonError("diverged", residual=res, iterations=used)
-        x = x + dx
+        a, b, p, n = a + da, b + db, p + dp, n + dn
     raise NewtonError("no convergence", residual=res, iterations=cfg.max_iter)
 
 

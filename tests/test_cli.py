@@ -355,7 +355,11 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "via_file", [False, True], ids=["missing-directory", "empty-config-value"]
     )
-    def test_unwritable_output_is_config_error(self, tmp_path, via_file):
+    def test_unwritable_output_is_config_error(self, tmp_path, monkeypatch, via_file):
+        def never(*args):
+            raise AssertionError("simulated although the output cannot be written")
+
+        monkeypatch.setattr("lobvi.cli._simulate", never)
         if via_file:
             cfg = tmp_path / "run.cfg"
             cfg.write_text("out =\n")
@@ -365,6 +369,22 @@ class TestExitCodes:
         code, err = call_main(["trajectory", "--meshes", "4", *target])
         assert code == 2
         assert "config error: cannot write output:" in err
+
+    @pytest.mark.parametrize(
+        "args, want",
+        [
+            (
+                ["--system", "pendulum", "--amplitude", "3.5"],
+                "amplitude: q0 must be finite and in (0, pi), got 3.5",
+            ),
+            (["--mass", "inf"], "mass: m must be finite and positive, got inf"),
+        ],
+        ids=["amplitude", "mass"],
+    )
+    def test_physical_value_error_names_the_option(self, args, want):
+        code, err = call_main(["trajectory", *args])
+        assert code == 2
+        assert err == f"config error: {want}\n"
 
     def test_success_returns_zero(self, tmp_path):
         code, _ = call_main(

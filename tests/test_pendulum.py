@@ -11,6 +11,7 @@ from lobvi.harmonic import discrete_lagrangian as discrete_lagrangian_harmonic
 from lobvi.mechanics import (
     ElementState,
     PhasePoint,
+    PotentialModel,
     StepParams,
     energy,
     free_potential,
@@ -48,6 +49,30 @@ def harmonic_nl_params(h=0.05, m=1.0):
 lengths = st.floats(-3.0, 3.0, allow_nan=False)
 
 
+def dense_newton(p_j, q_j, params, cfg=NewtonConfig()):
+    """Reference solve: the full 4x4 Newton with np.linalg.solve on the same
+    residual, Jacobian, initial guess and scaled stopping rule."""
+    m, h = params.m, params.h
+    drift = q_j + h * p_j / m
+    x = np.array(
+        [(1.0 - XI) * q_j + XI * drift, XI * q_j + (1.0 - XI) * drift, p_j, drift]
+    )
+    sq, sp = max(1.0, abs(q_j)), max(1.0, abs(p_j))
+    scale = np.array([sq, sq, sp, sq])
+    for used in range(cfg.max_iter + 1):
+        u = StepUnknowns(*x.tolist())
+        f = np.array(
+            [
+                *internal_equations_residual(u, q_j, u.q_next, params),
+                *dynamics_residual(u, p_j, q_j, params),
+            ]
+        )
+        if np.max(np.abs(f) / scale) <= cfg.tol:
+            return u, used
+        x = x + np.linalg.solve(np.array(jacobian_dFL(u, params)), -f)
+    raise AssertionError("dense reference did not converge")
+
+
 class TestValidation:
     def test_params(self):
         pot = pendulum_potential(1.0, W)
@@ -56,8 +81,9 @@ class TestValidation:
         for name, value in cases:
             fields = dict(m=1.0, h=0.1, potential=pot)
             fields[name] = value
-            with pytest.raises(ValueError, match=rf"^{name} must be"):
+            with pytest.raises(ValueError, match=rf"^{name} must be") as info:
                 StepParams(**fields)
+            assert info.value.field == name
 
     def test_newton_config(self):
         cases = [("tol", 0.0), ("max_iter", 0), ("max_step", -1.0)]
@@ -67,8 +93,9 @@ class TestValidation:
             for bad in (math.nan, math.inf)
         ]
         for name, value in cases:
-            with pytest.raises(ValueError, match=rf"^{name} must be"):
+            with pytest.raises(ValueError, match=rf"^{name} must be") as info:
                 NewtonConfig(**{name: value})
+            assert info.value.field == name
 
 
 class TestDiscreteLagrangianNL:
@@ -183,7 +210,7 @@ class TestJacobian:
             r34 = dynamics_residual(u, p_j, q_j, params)
             return np.array([*r12, *r34])
 
-        J = jacobian_dFL(StepUnknowns(*u0), params)
+        J = np.array(jacobian_dFL(StepUnknowns(*u0), params))
         eps = 1e-6
         for col in range(4):
             step = np.zeros(4)
@@ -206,19 +233,44 @@ class TestNewton:
         assert abs(u.p_next - want.p) <= 1e-12 * max(1.0, abs(want.p))
         assert abs(u.q_next - want.q) <= 1e-12 * max(1.0, abs(want.q))
 
+    @given(
+        p=st.floats(-2.0 * W, 2.0 * W),
+        q=lengths,
+        h=st.floats(-0.1, 0.1).filter(lambda h: abs(h) >= 1e-3),
+        potential=st.sampled_from([pendulum_potential, harmonic_potential]),
+    )
+    def test_matches_dense_reference(self, p, q, h, potential):
+        params = StepParams(m=1.0, h=h, potential=potential(1.0, W))
+        want, want_used = dense_newton(p, q, params)
+        got, used = newton_step_solve(p, q, params)
+        assert used == want_used
+        sq, sp = max(1.0, abs(q)), max(1.0, abs(p))
+        for name, scale in (("q_xi", sq), ("q_xic", sq), ("p_next", sp), ("q_next", sq)):
+            assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12 * scale
+        r12 = internal_equations_residual(got, q, got.q_next, params)
+        r34 = dynamics_residual(got, p, q, params)
+        scaled = [abs(r) / s for r, s in zip((*r12, *r34), (sq, sq, sp, sq))]
+        assert max(scaled) <= NewtonConfig().tol
+
     def test_iteration_budget_on_table_setup(self):
         params = pendulum_params()
         _, iters = run_pendulum(PhasePoint(0.0, math.pi / 2.0), params, 50)
         assert max(iters) <= 6
 
     def test_nonconvergence_reports_residual(self):
+        pot = pendulum_potential(1.0, W)
+        nan_curvature = StepParams(
+            m=1.0, h=PERIOD / 50.0,
+            potential=PotentialModel("nan-curvature", pot.V, pot.dV, lambda q: math.nan),
+        )
         cases = [
-            (NewtonConfig(tol=1e-15, max_iter=1), "no convergence", 1),
-            (NewtonConfig(max_step=1e-12), "diverged", 0),
+            (pendulum_params(), NewtonConfig(tol=1e-15, max_iter=1), "no convergence", 1),
+            (pendulum_params(), NewtonConfig(max_step=1e-12), "diverged", 0),
+            (nan_curvature, NewtonConfig(), "singular Jacobian", 0),
         ]
-        for cfg, reason, iterations in cases:
+        for params, cfg, reason, iterations in cases:
             with pytest.raises(NewtonError) as info:
-                newton_step_solve(0.0, math.pi / 2.0, pendulum_params(), cfg)
+                newton_step_solve(0.0, math.pi / 2.0, params, cfg)
             assert info.value.reason == reason
             assert info.value.iterations == iterations
             assert info.value.step is None and info.value.n_steps is None
