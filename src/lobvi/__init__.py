@@ -72,7 +72,6 @@ from .pendulum import (
 )
 from .quadrature import (
     QuadratureRule,
-    StiffnessMatrix,
     assemble_stiffness,
     eval_basis,
     eval_basis_deriv,

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .harmonic import HarmonicParams, stability_limit, step_harmonic, transfer_matrix
 from .mechanics import PhasePoint
 
@@ -191,9 +189,11 @@ def energy_drift_series(
     if window < 2:
         rate = 0.0
     else:
-        idx = np.array([k for k, _ in out], dtype=float)
-        val = np.array([v for _, v in out], dtype=float)
-        rate = float(np.polyfit(idx, val, 1)[0])
+        # closed-form OLS slope over the indices 1..window: the centred
+        # indices sum to zero, so the mean of the series drops out
+        mid = (window + 1) / 2.0
+        spread = window * (window * window - 1) / 12.0
+        rate = math.fsum((i - mid) * v for i, v in out) / spread
     return out, rate
 
 

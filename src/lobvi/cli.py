@@ -267,7 +267,8 @@ def _simulate(config: ExperimentConfig, n_per_period: int, periods: int) -> Traj
     return TrajectoryRecord(
         times=times,
         points=tuple(points),
-        exact=tuple(exact_at(t) for t in times),
+        # drift reads only the energies
+        exact=None if config.command == "drift" else tuple(exact_at(t) for t in times),
         energies=tuple(energy(pt, potential, m) for pt in points),
         discrete_energies=None if discrete is None else tuple(discrete),
     )
@@ -288,17 +289,15 @@ def _trajectory_lines(config: ExperimentConfig) -> tuple:
 
 
 def _convergence_lines(config: ExperimentConfig) -> tuple:
-    want_hd = config.system == "harmonic" and config.scheme == "lobatto"
     errs = {"p": [], "q": [], "H": [], "H_d": []}
     for n in config.meshes:
         record = _simulate(config, n, config.periods)
         for obs in ("p", "q", "H"):
             errs[obs].append(linf_error(record, obs))
-        if want_hd:
+        if record.discrete_energies is not None:
             errs["H_d"].append(linf_error(record, "H_d"))
     table = convergence_table(
-        config.meshes, errs["p"], errs["q"], errs["H"],
-        errs["H_d"] if want_hd else None,
+        config.meshes, errs["p"], errs["q"], errs["H"], errs["H_d"] or None,
     )
     lines = ["meshes,err_p,err_q,err_H,err_Hd,order_p,order_q,order_H"]
     for i, n in enumerate(table.meshes):
@@ -358,11 +357,15 @@ def _cannot_write(reason) -> int:
 def run(config: ExperimentConfig) -> int:
     """Execute one experiment; writes the CSV and a summary line on stderr.
 
-    A missing output directory is reported before any simulation runs.
+    An output path in a missing directory, or naming a directory, is
+    reported before any simulation runs.
     """
-    folder = os.path.dirname(config.out)
-    if config.out != "-" and folder and not os.path.isdir(folder):
-        return _cannot_write(f"no such directory: {folder!r}")
+    if config.out != "-":
+        folder = os.path.dirname(config.out)
+        if folder and not os.path.isdir(folder):
+            return _cannot_write(f"no such directory: {folder!r}")
+        if os.path.isdir(config.out):
+            return _cannot_write(f"is a directory: {config.out!r}")
     builder = {
         "trajectory": _trajectory_lines,
         "convergence": _convergence_lines,

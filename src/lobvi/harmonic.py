@@ -102,12 +102,14 @@ def kinetic_form(element: ElementState, m: float, h: float) -> float:
     routes are checked against each other in the tests.
     """
     e = element
+    # K annihilates constants, so take the form on offsets from q_l: on the raw
+    # values a barely moving element cancels terms of size m q^2 / h
+    a, b, c = e.q_xi - e.q_l, e.q_xic - e.q_l, e.q_r - e.q_l
     bracket = (
-        26.0 * (e.q_l * e.q_l + e.q_r * e.q_r)
-        - 2.0 * e.q_l * e.q_r
-        + 50.0 * (e.q_xi * e.q_xi - e.q_xi * e.q_xic + e.q_xic * e.q_xic)
-        - 25.0 * (e.q_l + e.q_r) * (e.q_xi + e.q_xic)
-        - 15.0 * SQRT5 * (e.q_l - e.q_r) * (e.q_xi - e.q_xic)
+        26.0 * c * c
+        + 50.0 * (a * a - a * b + b * b)
+        - 25.0 * c * (a + b)
+        + 15.0 * SQRT5 * c * (a - b)
     )
     return m * bracket / (12.0 * h)
 
@@ -136,12 +138,13 @@ def reduced_lagrangian(q_l: float, q_r: float, params: HarmonicParams) -> float:
     Symmetric in (q_l, q_r); reduces to m (q_r - q_l)^2 / 2h as omega -> 0.
     """
     x, delta = _delta_elim(params)
-    even = 3600.0 + x * (-1680.0 + x * (92.0 - x))
-    cross = 1800.0 + x * (60.0 + x)
-    m = params.m
-    return (0.25 * m * even * (q_l * q_l + q_r * q_r) - m * cross * q_l * q_r) / (
-        6.0 * params.h * delta
-    )
+    # the x-free parts of even (3600) and cross (1800) combine into
+    # 900 (q_r - q_l)^2, so a barely moving element does not cancel them
+    even = x * (-1680.0 + x * (92.0 - x))
+    cross = x * (60.0 + x)
+    d = q_r - q_l
+    num = 900.0 * d * d + 0.25 * even * (q_l * q_l + q_r * q_r) - cross * q_l * q_r
+    return params.m * num / (6.0 * params.h * delta)
 
 
 def right_momentum(q_l: float, q_r: float, params: HarmonicParams) -> float:

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 from .mechanics import ElementState
 
 SQRT5 = math.sqrt(5.0)
@@ -26,13 +24,6 @@ XI = 0.5 - SQRT5 / 10.0
 class QuadratureRule:
     nodes: tuple
     weights: tuple
-
-
-@dataclass(frozen=True)
-class StiffnessMatrix:
-    """Element matrix K_ab = integral over [0,1] of phi_a' phi_b'."""
-
-    k: np.ndarray
 
 
 def lobatto_rule() -> QuadratureRule:
@@ -92,31 +83,32 @@ def interpolate(element: ElementState, theta: float) -> float:
     )
 
 
-def stiffness_matrix() -> StiffnessMatrix:
-    """Closed-form K.  Symmetric, rows sum to zero, kernel (1, 1, 1, 1)."""
+def stiffness_matrix() -> tuple:
+    """Closed-form element matrix K_ab = integral over [0,1] of phi_a' phi_b'.
+
+    Returned as four rows of floats.  Symmetric, rows sum to zero, kernel
+    (1, 1, 1, 1).
+    """
     s = 5.0 * SQRT5 / 4.0
     d = 25.0 / 12.0
-    k = np.array(
-        [
-            [13.0 / 3.0, -s - d, s - d, -1.0 / 6.0],
-            [-s - d, 25.0 / 3.0, -25.0 / 6.0, s - d],
-            [s - d, -25.0 / 6.0, 25.0 / 3.0, -s - d],
-            [-1.0 / 6.0, s - d, -s - d, 13.0 / 3.0],
-        ]
+    return (
+        (13.0 / 3.0, -s - d, s - d, -1.0 / 6.0),
+        (-s - d, 25.0 / 3.0, -25.0 / 6.0, s - d),
+        (s - d, -25.0 / 6.0, 25.0 / 3.0, -s - d),
+        (-1.0 / 6.0, s - d, -s - d, 13.0 / 3.0),
     )
-    return StiffnessMatrix(k)
 
 
-def assemble_stiffness(rule: Optional[QuadratureRule] = None) -> StiffnessMatrix:
-    """K assembled by quadrature of phi_a' phi_b'.
+def assemble_stiffness(rule: Optional[QuadratureRule] = None) -> tuple:
+    """K assembled by quadrature of phi_a' phi_b', as four rows of floats.
 
     The integrands are degree 4, inside the exactness range of the rule, so
     this must reproduce the closed form; it is kept as an independent route
     on purpose.
     """
     rule = rule if rule is not None else lobatto_rule()
-    k = np.zeros((4, 4))
-    for node, weight in zip(rule.nodes, rule.weights):
-        g = np.array(eval_basis_deriv(node))
-        k += weight * np.outer(g, g)
-    return StiffnessMatrix(k)
+    grads = [(w, eval_basis_deriv(node)) for node, w in zip(rule.nodes, rule.weights)]
+    return tuple(
+        tuple(sum(w * (g[a] * g[b]) for w, g in grads) for b in range(4))
+        for a in range(4)
+    )

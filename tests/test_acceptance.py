@@ -123,8 +123,8 @@ def test_quadrature_exactness():
 
 def test_stiffness_identity():
     t0 = perf_counter()
-    closed = stiffness_matrix().k
-    assembled = assemble_stiffness().k
+    closed = np.array(stiffness_matrix())
+    assembled = np.array(assemble_stiffness())
     gap = float(np.max(np.abs(closed - assembled)))
     rows = float(np.max(np.abs(closed.sum(axis=1))))
     elapsed = perf_counter() - t0

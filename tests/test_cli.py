@@ -1,11 +1,16 @@
 import contextlib
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from fractions import Fraction
 
 import pytest
 
+import lobvi
 from lobvi.cli import ConfigError, ExperimentConfig, main, parse_config, run
 
 W = 2.0 * math.pi
@@ -296,6 +301,37 @@ class TestDriftOutput:
         lines = out.read_text().splitlines()
         assert lines[0] == "# observable: H"
 
+    def test_rate_is_the_exact_ols_slope_of_the_rows(self, tmp_path):
+        out = tmp_path / "d.csv"
+        code, _ = call_main(
+            ["drift", "--system", "pendulum", "--periods", "20",
+             "--amplitude", "1.4", "--out", str(out)]
+        )
+        assert code == 0
+        lines = out.read_text().splitlines()
+        rate = float(lines[1].split()[2])
+        rows = [(int(i), Fraction(float(v))) for i, v in (r.split(",") for r in lines[3:])]
+        x_mean = Fraction(sum(i for i, _ in rows), len(rows))
+        y_mean = sum(v for _, v in rows) / len(rows)
+        exact = sum((i - x_mean) * (v - y_mean) for i, v in rows) / sum(
+            (i - x_mean) ** 2 for i, _ in rows
+        )
+        assert exact != 0
+        assert abs(Fraction(rate) - exact) <= Fraction(1, 10**14) * abs(exact)
+
+    def test_reference_is_evaluated_only_at_the_start(self, monkeypatch):
+        real = lobvi.cli.pendulum_exact
+        calls = []
+        monkeypatch.setattr(
+            "lobvi.cli.pendulum_exact", lambda t, ref: calls.append(t) or real(t, ref)
+        )
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, _ = call_main(
+                ["drift", "--system", "pendulum", "--periods", "3", "--out", "-"]
+            )
+        assert code == 0
+        assert calls == [0.0]
+
 
 class TestStabilityOutput:
     def test_scan_brackets_the_onset(self, tmp_path):
@@ -353,19 +389,21 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "via_file", [False, True], ids=["missing-directory", "empty-config-value"]
+        "case", ["missing-directory", "empty-config-value", "existing-directory"]
     )
-    def test_unwritable_output_is_config_error(self, tmp_path, monkeypatch, via_file):
+    def test_unwritable_output_is_config_error(self, tmp_path, monkeypatch, case):
         def never(*args):
             raise AssertionError("simulated although the output cannot be written")
 
         monkeypatch.setattr("lobvi.cli._simulate", never)
-        if via_file:
+        if case == "empty-config-value":
             cfg = tmp_path / "run.cfg"
             cfg.write_text("out =\n")
             target = ["--config", str(cfg)]
-        else:
+        elif case == "missing-directory":
             target = ["--out", str(tmp_path / "missing" / "t.csv")]
+        else:
+            target = ["--out", str(tmp_path)]
         code, err = call_main(["trajectory", "--meshes", "4", *target])
         assert code == 2
         assert "config error: cannot write output:" in err
@@ -400,3 +438,33 @@ class TestRunDispatch:
         with contextlib.redirect_stderr(err):
             assert run(cfg) == 0
         assert (tmp_path / "r.csv").exists()
+
+
+class TestStandardLibraryOnly:
+    """The package and its CLI need nothing outside the standard library."""
+
+    def _python(self, code, *args):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lobvi.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-c", code, *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_import_leaves_numpy_unloaded(self):
+        done = self._python(
+            "import sys, lobvi, lobvi.cli; print('numpy' in sys.modules)"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
+
+    def test_drift_runs_with_numpy_blocked(self):
+        done = self._python(
+            "import runpy, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "sys.argv = ['lobvi', *sys.argv[1:]]\n"
+            "runpy.run_module('lobvi', run_name='__main__')",
+            "drift", "--periods", "2", "--out", "-",
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("# observable: H_d\n")

@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from lobvi.harmonic import (
@@ -115,7 +115,7 @@ class TestDiscreteLagrangian:
         el = ElementState(*qs)
         pot = harmonic_potential(m, w)
         vec = np.array(qs)
-        kin = m / (2.0 * h) * float(vec @ stiffness_matrix().k @ vec)
+        kin = m / (2.0 * h) * float(vec @ np.array(stiffness_matrix()) @ vec)
         u = h * integrate_unit(lambda th: pot.V(interpolate(el, th)))
         got = discrete_lagrangian(el, params)
         assert abs(got - (kin - u)) <= 1e-11 * (1.0 + abs(kin) + abs(u))
@@ -123,7 +123,7 @@ class TestDiscreteLagrangian:
     @given(qs=st.tuples(lengths, lengths, lengths, lengths), m=masses, h=steps)
     def test_kinetic_form_matches_stiffness(self, qs, m, h):
         vec = np.array(qs)
-        want = m / (2.0 * h) * float(vec @ stiffness_matrix().k @ vec)
+        want = m / (2.0 * h) * float(vec @ np.array(stiffness_matrix()) @ vec)
         got = kinetic_form(ElementState(*qs), m, h)
         assert abs(got - want) <= 1e-11 * (1.0 + abs(want))
 
@@ -133,6 +133,8 @@ class TestReducedLagrangian:
         assert reduced_lagrangian(0.0, 0.0, TABLE_PARAMS) == 0.0
 
     @given(q_l=lengths, q_r=lengths, m=masses, h=steps, w=omegas)
+    # a resting element at large m/h: both routes once cancelled big terms
+    @example(q_l=3.0, q_r=3.0, m=3.0, h=0.02, w=0.25)
     def test_substitution_oracle(self, q_l, q_r, m, h, w):
         params = stable_params(m, h, w)
         q_xi, q_xic = internal_dofs(q_l, q_r, params)

@@ -135,28 +135,29 @@ class TestInterpolate:
 
 class TestStiffness:
     def test_printed_entries(self):
-        k = stiffness_matrix().k
+        k = np.array(stiffness_matrix())
         assert abs(k[0, 0] - 13.0 / 3.0) < 1e-14
         assert abs(k[1, 2] + 25.0 / 6.0) < 1e-14
         assert abs(k[1, 1] - 25.0 / 3.0) < 1e-14
         assert abs(k[0, 3] + 1.0 / 6.0) < 1e-14
 
     def test_symmetry_and_row_sums(self):
-        k = stiffness_matrix().k
+        k = np.array(stiffness_matrix())
         assert np.max(np.abs(k - k.T)) < 1e-14
         assert np.max(np.abs(k.sum(axis=1))) < 1e-14
 
     def test_reflection_structure(self):
         # reversing the node order leaves the quadratic form unchanged
-        k = stiffness_matrix().k
+        k = np.array(stiffness_matrix())
         assert np.max(np.abs(k - k[::-1, ::-1])) < 1e-14
 
     def test_assembled_matches_closed_form(self):
-        gap = np.max(np.abs(assemble_stiffness().k - stiffness_matrix().k))
+        assembled = np.array(assemble_stiffness())
+        gap = np.max(np.abs(assembled - np.array(stiffness_matrix())))
         assert gap <= 1e-14
 
     def test_positive_semidefinite_with_constant_kernel(self):
-        k = stiffness_matrix().k
+        k = np.array(stiffness_matrix())
         evals = np.linalg.eigvalsh(k)
         assert evals[0] > -1e-13
         assert evals[0] < 1e-13
