@@ -25,7 +25,6 @@ from .exact import (
     PendulumExact,
     complete_elliptic_K,
     harmonic_exact,
-    oracle_integrate,
     pendulum_exact,
 )
 from .harmonic import (
@@ -67,7 +66,6 @@ from .pendulum import (
     jacobian_dFL,
     newton_step_solve,
     run_pendulum,
-    step_pendulum,
     symplecticity_defect,
 )
 from .quadrature import (

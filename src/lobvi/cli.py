@@ -25,7 +25,7 @@ from .analysis import (
     stability_scan,
 )
 from .exact import HarmonicExact, PendulumExact, harmonic_exact, pendulum_exact
-from .harmonic import HarmonicParams, run_harmonic
+from .harmonic import HarmonicParams, run_harmonic, stability_limit
 from .mechanics import StepParams, energy, harmonic_potential, pendulum_potential
 from .midpoint import run_midpoint
 from .pendulum import NewtonError, run_pendulum
@@ -33,7 +33,6 @@ from .pendulum import NewtonError, run_pendulum
 _COMMANDS = ("trajectory", "convergence", "drift", "stability")
 _SYSTEMS = ("harmonic", "pendulum")
 _SCHEMES = ("lobatto", "midpoint")
-_FILE_KEYS = ("system", "scheme", "meshes", "periods", "mass", "omega", "amplitude", "out")
 # option that sets each field of the exact-reference records
 _OPTION_OF_FIELD = {"m": "mass", "omega": "omega", "amplitude": "amplitude", "q0": "amplitude"}
 
@@ -75,6 +74,15 @@ class ExperimentConfig:
         for n in self.meshes:
             if n < 2:
                 raise ConfigError(f"meshes must be at least 2, got {n}")
+            # the closed-form map is unbounded from h*omega = 2pi/N on
+            if (self.system, self.scheme) == ("harmonic", "lobatto") and (
+                2.0 * math.pi / n >= stability_limit()
+            ):
+                raise ConfigError(
+                    f"meshes: {n} nodes per period put h*omega = "
+                    f"{2.0 * math.pi / n:.4f} at or past the stability limit "
+                    f"{stability_limit():.4f} of the harmonic Lobatto scheme"
+                )
         if self.command == "convergence":
             for a, b in zip(self.meshes, self.meshes[1:]):
                 if b != 2 * a:
@@ -97,6 +105,52 @@ class ExperimentConfig:
         object.__setattr__(self, "reference", reference)
 
 
+def _choice(choices):
+    def conv(raw):
+        if raw not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}, got {raw!r}")
+        return raw
+
+    return conv
+
+
+def _integer(raw):
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"invalid integer {raw!r}") from None
+
+
+def _number(raw):
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"invalid number {raw!r}") from None
+
+
+def _mesh_list(raw):
+    toks = [tok for tok in raw.replace(" ", "").split(",") if tok]
+    if not toks:
+        raise ValueError(f"empty mesh list {raw!r}")
+    try:
+        return tuple(int(tok) for tok in toks)
+    except ValueError:
+        raise ValueError(f"invalid mesh list {raw!r}") from None
+
+
+# each option's converter serves its flag and its config-file key alike
+_OPTIONS = {
+    "system": (_choice(_SYSTEMS), f"mechanical system: {' or '.join(_SYSTEMS)}"),
+    "scheme": (_choice(_SCHEMES), f"time integrator: {' or '.join(_SCHEMES)}"),
+    "meshes": (_mesh_list, "comma-separated node counts per period"),
+    "periods": (_integer, "number of periods to run"),
+    "mass": (_number, "point mass"),
+    "omega": (_number, "angular frequency"),
+    "amplitude": (_number, "initial extension or release angle"),
+    "out": (str, "output CSV path, or - for stdout"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lobvi",
@@ -111,21 +165,14 @@ def _build_parser() -> argparse.ArgumentParser:
     }
     for name in _COMMANDS:
         p = sub.add_parser(name, help=helps[name])
-        p.add_argument("--system", choices=_SYSTEMS, help="mechanical system")
-        p.add_argument("--scheme", choices=_SCHEMES, help="time integrator")
-        p.add_argument("--meshes", help="comma-separated node counts per period")
-        p.add_argument("--periods", type=int, help="number of periods to run")
-        p.add_argument("--mass", type=float)
-        p.add_argument("--omega", type=float, help="angular frequency")
-        p.add_argument(
-            "--amplitude", type=float, help="initial extension or release angle"
-        )
-        p.add_argument("--out", help="output CSV path, or - for stdout")
+        for key, (_, text) in _OPTIONS.items():
+            p.add_argument(f"--{key}", help=text)
         p.add_argument("--config", help="key=value file; flags take precedence")
     return parser
 
 
 def _read_config_file(path: str) -> dict:
+    """Map each key of a key=value file to its (raw value, path:lineno)."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw_lines = fh.read().splitlines()
@@ -140,58 +187,10 @@ def _read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _FILE_KEYS:
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = (val, f"{path}:{lineno}")
     return values
-
-
-def _conv_choice(choices):
-    def conv(raw, where):
-        if raw not in choices:
-            raise ConfigError(
-                f"{where}: expected one of {', '.join(choices)}, got {raw!r}"
-            )
-        return raw
-
-    return conv
-
-
-def _conv_int(raw, where):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{where}: invalid integer {raw!r}") from None
-
-
-def _conv_float(raw, where):
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{where}: invalid number {raw!r}") from None
-
-
-def _conv_meshes(raw, where):
-    toks = [tok for tok in raw.replace(" ", "").split(",") if tok]
-    if not toks:
-        raise ConfigError(f"{where}: empty mesh list {raw!r}")
-    try:
-        return tuple(int(tok) for tok in toks)
-    except ValueError:
-        raise ConfigError(f"{where}: invalid mesh list {raw!r}") from None
-
-
-def _conv_str(raw, where):
-    return raw
-
-
-def _pick(flag_value, file_values, key, conv, default):
-    if flag_value is not None:
-        return flag_value
-    if key in file_values:
-        raw, where = file_values[key]
-        return conv(raw, where)
-    return default
 
 
 def _default_meshes(command: str, system: str) -> tuple:
@@ -206,37 +205,32 @@ def _default_meshes(command: str, system: str) -> tuple:
 def parse_config(argv: Sequence[str]) -> ExperimentConfig:
     """Build a validated config from argv, merging in any --config file."""
     ns = _build_parser().parse_args(list(argv))
-    fv = _read_config_file(ns.config) if ns.config else {}
+    raw = _read_config_file(ns.config) if ns.config else {}
+    for key in _OPTIONS:
+        if getattr(ns, key) is not None:
+            raw[key] = (getattr(ns, key), f"--{key}")
+    values = {}
+    for key, (text, where) in raw.items():
+        try:
+            values[key] = _OPTIONS[key][0](text)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
 
-    system = _pick(ns.system, fv, "system", _conv_choice(_SYSTEMS), "harmonic")
-    scheme = _pick(ns.scheme, fv, "scheme", _conv_choice(_SCHEMES), "lobatto")
-    mass = _pick(ns.mass, fv, "mass", _conv_float, 1.0)
-    omega = _pick(ns.omega, fv, "omega", _conv_float, 2.0 * math.pi)
-    amplitude = _pick(ns.amplitude, fv, "amplitude", _conv_float, math.pi / 2.0)
-    periods = _pick(
-        ns.periods, fv, "periods", _conv_int, 1000 if ns.command == "drift" else 1
-    )
-    if ns.meshes is not None:
-        meshes = _conv_meshes(ns.meshes, "--meshes")
-    elif "meshes" in fv:
-        meshes = _conv_meshes(*fv["meshes"])
-    else:
-        meshes = _default_meshes(ns.command, system)
+    system = values.get("system", "harmonic")
+    scheme = values.get("scheme", "lobatto")
+    meshes = values.get("meshes", _default_meshes(ns.command, system))
     if ns.command == "convergence" and len(meshes) == 1:
         meshes = (meshes[0], 2 * meshes[0], 4 * meshes[0])
-    out = _pick(
-        ns.out, fv, "out", _conv_str, f"{ns.command}_{system}_{scheme}.csv"
-    )
     return ExperimentConfig(
         command=ns.command,
         system=system,
         scheme=scheme,
-        m=mass,
-        omega=omega,
-        amplitude=amplitude,
+        m=values.get("mass", 1.0),
+        omega=values.get("omega", 2.0 * math.pi),
+        amplitude=values.get("amplitude", math.pi / 2.0),
         meshes=meshes,
-        periods=periods,
-        out=out,
+        periods=values.get("periods", 1000 if ns.command == "drift" else 1),
+        out=values.get("out", f"{ns.command}_{system}_{scheme}.csv"),
     )
 
 

@@ -1,11 +1,11 @@
-"""Closed-form reference solutions and an independent brute-force oracle.
+"""Closed-form reference solutions.
 
 The oscillator reference is plain trigonometry.  The pendulum released from
 rest at angle q0 has sin(q/2) = k cd(omega t, k) with modulus k = sin(q0/2);
 cd = cn/dn follows from sn(u + K) = cd(u) and the release condition.  The
 momentum is the analytic derivative p = -2 m k k' omega sn/dn, where
-k' = cos(q0/2); both are validated against the RK4 oracle rather than
-trusted as transcriptions.
+k' = cos(q0/2); the tests check both against an independent RK4 oracle
+rather than trust them as transcriptions.
 
 Elliptic values come from bounded AGM / descending-Landen iterations; the
 moduli shrink quadratically, so 32 passes is far more than float64 needs,
@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 
-from .mechanics import PhasePoint, PotentialModel, _require
+from .mechanics import PhasePoint, _require
 
 _EPS = sys.float_info.epsilon
 
@@ -122,35 +122,4 @@ def pendulum_exact(t: float, params: PendulumExact) -> PhasePoint:
     s = k * cn / dn
     q = 2.0 * math.asin(min(1.0, max(-1.0, s)))
     p = -2.0 * params.m * k * kp * params.omega * sn / dn
-    return PhasePoint(p, q)
-
-
-def oracle_integrate(
-    potential: PotentialModel,
-    point: PhasePoint,
-    t_end: float,
-    n_steps: int,
-    m: float = 1.0,
-) -> PhasePoint:
-    """Classical fourth-order one-step method, used only as a test oracle.
-
-    Deliberately has nothing in common with the variational schemes: no
-    element structure, no implicit solve, no elliptic identities.
-    """
-    if n_steps < 1:
-        raise ValueError("need at least one step")
-    dV = potential.dV
-    h = t_end / n_steps
-    p, q = point.p, point.q
-    for _ in range(n_steps):
-        k1p = -dV(q)
-        k1q = p / m
-        k2p = -dV(q + 0.5 * h * k1q)
-        k2q = (p + 0.5 * h * k1p) / m
-        k3p = -dV(q + 0.5 * h * k2q)
-        k3q = (p + 0.5 * h * k2p) / m
-        k4p = -dV(q + h * k3q)
-        k4q = (p + h * k3p) / m
-        p += h / 6.0 * (k1p + 2.0 * (k2p + k3p) + k4p)
-        q += h / 6.0 * (k1q + 2.0 * (k2q + k3q) + k4q)
     return PhasePoint(p, q)

@@ -246,17 +246,6 @@ def _warn_if_stiff(point: PhasePoint, params: StepParams) -> None:
         )
 
 
-def step_pendulum(
-    point: PhasePoint,
-    params: StepParams,
-    cfg: Optional[NewtonConfig] = None,
-) -> PhasePoint:
-    """Advance one step; propagates NewtonError on solver failure."""
-    _warn_if_stiff(point, params)
-    unknowns, _ = newton_step_solve(point.p, point.q, params, cfg)
-    return PhasePoint(unknowns.p_next, unknowns.q_next)
-
-
 def run_pendulum(
     point: PhasePoint,
     params: StepParams,
@@ -289,6 +278,6 @@ def symplecticity_defect(
 ) -> float:
     """|det J - 1| for the central-difference Jacobian of the one-step map."""
     det = map_jacobian_determinant(
-        lambda pt: step_pendulum(pt, params, cfg), point, eps
+        lambda pt: run_pendulum(pt, params, 1, cfg)[0][1], point, eps
     )
     return abs(det - 1.0)

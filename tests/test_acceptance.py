@@ -20,7 +20,7 @@ from lobvi.analysis import (
     stability_scan,
 )
 from lobvi.cli import main
-from lobvi.exact import PendulumExact, harmonic_exact, HarmonicExact, oracle_integrate, pendulum_exact
+from lobvi.exact import PendulumExact, harmonic_exact, HarmonicExact, pendulum_exact
 from lobvi.harmonic import (
     HarmonicParams,
     center_residual,
@@ -40,6 +40,8 @@ from lobvi.mechanics import (
 from lobvi.midpoint import run_midpoint
 from lobvi.pendulum import run_pendulum, symplecticity_defect
 from lobvi.quadrature import assemble_stiffness, integrate_unit, stiffness_matrix
+
+from oracle import oracle_integrate
 
 W = 2.0 * math.pi
 

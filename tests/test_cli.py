@@ -12,6 +12,7 @@ import pytest
 
 import lobvi
 from lobvi.cli import ConfigError, ExperimentConfig, main, parse_config, run
+from lobvi.harmonic import stability_limit
 
 W = 2.0 * math.pi
 FMT = "{:.16e}".format
@@ -128,6 +129,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="invalid number"):
             parse_config(["trajectory", "--config", str(path)])
 
+    @pytest.mark.parametrize(
+        "key, value, want",
+        [
+            ("mass", "heavy", "invalid number 'heavy'"),
+            ("periods", "1.5", "invalid integer '1.5'"),
+            ("meshes", "10,x", "invalid mesh list '10,x'"),
+            ("system", "kepler", "expected one of harmonic, pendulum, got 'kepler'"),
+        ],
+    )
+    def test_flag_and_file_share_one_converter(self, tmp_path, key, value, want):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"# bad value on line 2\n{key} = {value}\n")
+        by_flag = call_main(["trajectory", f"--{key}", value])
+        by_file = call_main(["trajectory", "--config", str(path)])
+        assert by_flag == (2, f"config error: --{key}: {want}\n")
+        assert by_file == (2, f"config error: {path}:2: {want}\n")
+
 
 class TestExperimentConfig:
     def good(self, **over):
@@ -158,6 +176,7 @@ class TestExperimentConfig:
             dict(meshes=()),
             dict(meshes=(1,)),
             dict(meshes=(0,)),
+            dict(meshes=(2,)),
             dict(command="convergence", meshes=(10, 21)),
             dict(periods=0),
             dict(m=0.0),
@@ -212,11 +231,11 @@ class TestTrajectoryOutput:
         buf = io.StringIO()
         err = io.StringIO()
         with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
-            code = main(["trajectory", "--meshes", "2", "--out", "-"])
+            code = main(["trajectory", "--meshes", "3", "--out", "-"])
         assert code == 0
         lines = buf.getvalue().splitlines()
         assert lines[0].startswith("t,q,p,")
-        assert len(lines) == 4
+        assert len(lines) == 5
         assert "stdout" in err.getvalue()
 
     def test_byte_determinism(self, tmp_path):
@@ -423,6 +442,24 @@ class TestExitCodes:
         code, err = call_main(["trajectory", *args])
         assert code == 2
         assert err == f"config error: {want}\n"
+
+    @pytest.mark.parametrize("sink", ["stdout", "file"])
+    def test_harmonic_lobatto_past_stability_limit_is_rejected(self, tmp_path, sink):
+        out = tmp_path / "t.csv"
+        args = ["trajectory", "--meshes", "2", "--periods", "50",
+                "--out", "-" if sink == "stdout" else str(out)]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code, err = call_main(args)
+        assert code == 2
+        assert err.startswith("config error: ")
+        assert f"stability limit {stability_limit():.4f}" in err
+        assert buf.getvalue() == ""
+        assert not out.exists()
+        # the limit belongs to the closed-form map, not to the midpoint rule
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, _ = call_main([*args, "--scheme", "midpoint"])
+        assert code == 0
 
     def test_success_returns_zero(self, tmp_path):
         code, _ = call_main(

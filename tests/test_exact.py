@@ -11,7 +11,6 @@ from lobvi.exact import (
     PendulumExact,
     complete_elliptic_K,
     harmonic_exact,
-    oracle_integrate,
     pendulum_exact,
 )
 from lobvi.mechanics import (
@@ -21,6 +20,8 @@ from lobvi.mechanics import (
     harmonic_potential,
     pendulum_potential,
 )
+
+from oracle import oracle_integrate
 
 W = 2.0 * math.pi
 

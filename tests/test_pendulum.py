@@ -28,7 +28,6 @@ from lobvi.pendulum import (
     jacobian_dFL,
     newton_step_solve,
     run_pendulum,
-    step_pendulum,
     symplecticity_defect,
 )
 from lobvi.quadrature import XI
@@ -279,7 +278,7 @@ class TestNewton:
 
 class TestStepAndRun:
     def test_equilibrium_fixed_point(self):
-        out = step_pendulum(PhasePoint(0.0, 0.0), pendulum_params())
+        out = run_pendulum(PhasePoint(0.0, 0.0), pendulum_params(), 1)[0][1]
         assert out.p == 0.0 and out.q == 0.0
 
     def test_period_return(self):
@@ -295,7 +294,7 @@ class TestStepAndRun:
         fwd = pendulum_params()
         back = pendulum_params(h=-fwd.h)
         start = PhasePoint(0.35, 1.1)
-        roundtrip = step_pendulum(step_pendulum(start, fwd), back)
+        roundtrip = run_pendulum(run_pendulum(start, fwd, 1)[0][1], back, 1)[0][1]
         assert abs(roundtrip.p - start.p) <= 1e-12
         assert abs(roundtrip.q - start.q) <= 1e-12
 
@@ -335,7 +334,7 @@ class TestStepAndRun:
         for params, q in cases:
             with pytest.warns(RuntimeWarning):
                 try:
-                    step_pendulum(PhasePoint(0.0, q), params)
+                    run_pendulum(PhasePoint(0.0, q), params, 1)
                 except NewtonError:
                     pass
 
