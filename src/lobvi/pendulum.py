@@ -6,7 +6,7 @@ p_next, q_next): two interior stationarity equations plus the momentum and
 state updates.  p_next enters the Jacobian only through the column
 (0, 0, 1, -h/2m), so each Newton increment eliminates it and solves the
 remaining 3x3 system in (q_xi, q_xic, q_next) in closed form with Python
-floats.  Newton with the analytic Jacobian reaches the 1e-13 scaled-residual
+floats.  Newton with the analytic Jacobian reaches the 1e-14 scaled-residual
 tolerance in a handful of iterations at any sane step size.
 """
 
@@ -39,7 +39,7 @@ class NewtonConfig:
     guard on the Newton step norm past which the iteration is declared
     divergent (quadratic convergence never gets near it)."""
 
-    tol: float = 1e-13
+    tol: float = 1e-14
     max_iter: int = 20
     max_step: float = 1e6
 
