@@ -74,7 +74,7 @@ class ExperimentConfig:
         for n in self.meshes:
             if n < 2:
                 raise ConfigError(f"meshes must be at least 2, got {n}")
-            # the closed-form map is unbounded from h*omega = 2pi/N on
+            # a step is one N-th of the period, so h*omega = 2pi/N for any omega
             if (self.system, self.scheme) == ("harmonic", "lobatto") and (
                 2.0 * math.pi / n >= stability_limit()
             ):

@@ -176,7 +176,6 @@ class TestExperimentConfig:
             dict(meshes=()),
             dict(meshes=(1,)),
             dict(meshes=(0,)),
-            dict(meshes=(2,)),
             dict(command="convergence", meshes=(10, 21)),
             dict(periods=0),
             dict(m=0.0),
@@ -186,6 +185,7 @@ class TestExperimentConfig:
             dict(amplitude=0.0),
             dict(system="pendulum", amplitude=3.5),
             dict(system="pendulum", amplitude=0.0),
+            dict(meshes=(2,)),
         ],
     )
     def test_rejects_bad_values(self, over):
