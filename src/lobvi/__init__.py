@@ -61,11 +61,10 @@ from .pendulum import (
     NewtonError,
     StepUnknowns,
     discrete_lagrangian_nl,
-    dynamics_residual,
-    internal_equations_residual,
     jacobian_dFL,
     newton_step_solve,
     run_pendulum,
+    step_residual,
     symplecticity_defect,
 )
 from .quadrature import (

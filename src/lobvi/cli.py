@@ -71,6 +71,8 @@ class ExperimentConfig:
         object.__setattr__(self, "meshes", tuple(int(n) for n in self.meshes))
         if not self.meshes:
             raise ConfigError("need at least one mesh count")
+        if self.command in ("trajectory", "drift") and len(self.meshes) > 1:
+            raise ConfigError(f"{self.command} takes one mesh count, got {len(self.meshes)}")
         for n in self.meshes:
             if n < 2:
                 raise ConfigError(f"meshes must be at least 2, got {n}")
@@ -149,6 +151,9 @@ _OPTIONS = {
     "amplitude": (_number, "initial extension or release angle"),
     "out": (str, "output CSV path, or - for stdout"),
 }
+# the options each subcommand reads; stability scans a fixed oscillator grid
+_KEYS = {name: tuple(_OPTIONS) for name in _COMMANDS}
+_KEYS["stability"] = ("mass", "omega", "out")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -165,14 +170,14 @@ def _build_parser() -> argparse.ArgumentParser:
     }
     for name in _COMMANDS:
         p = sub.add_parser(name, help=helps[name])
-        for key, (_, text) in _OPTIONS.items():
-            p.add_argument(f"--{key}", help=text)
+        for key in _KEYS[name]:
+            p.add_argument(f"--{key}", help=_OPTIONS[key][1])
         p.add_argument("--config", help="key=value file; flags take precedence")
     return parser
 
 
-def _read_config_file(path: str) -> dict:
-    """Map each key of a key=value file to its (raw value, path:lineno)."""
+def _read_config_file(path: str, command: str) -> dict:
+    """Map each key of a key=value file for `command` to (raw value, path:lineno)."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw_lines = fh.read().splitlines()
@@ -187,8 +192,9 @@ def _read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _OPTIONS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in _KEYS[command]:
+            why = "unknown key" if key not in _OPTIONS else f"{command} takes no key"
+            raise ConfigError(f"{path}:{lineno}: {why} {key!r}")
         values[key] = (val, f"{path}:{lineno}")
     return values
 
@@ -205,8 +211,8 @@ def _default_meshes(command: str, system: str) -> tuple:
 def parse_config(argv: Sequence[str]) -> ExperimentConfig:
     """Build a validated config from argv, merging in any --config file."""
     ns = _build_parser().parse_args(list(argv))
-    raw = _read_config_file(ns.config) if ns.config else {}
-    for key in _OPTIONS:
+    raw = _read_config_file(ns.config, ns.command) if ns.config else {}
+    for key in _KEYS[ns.command]:
         if getattr(ns, key) is not None:
             raw[key] = (getattr(ns, key), f"--{key}")
     values = {}

@@ -29,19 +29,18 @@ def step_midpoint(
     x = q0 + h * p0 / m
     scale = max(1.0, abs(q0))
     tol = cfg.tol * scale
-    g = x - q0 - h / m * p0 + h * h / (2.0 * m) * dV(0.5 * (q0 + x))
     for used in range(cfg.max_iter + 1):
+        # the force at the midpoint serves the residual and, once converged, p1
+        force = dV(0.5 * (q0 + x))
+        g = x - q0 - h / m * p0 + h * h / (2.0 * m) * force
         if abs(g) <= tol:
-            break
+            return PhasePoint(p0 - h * force, x)
         if used == cfg.max_iter:
             raise NewtonError("no convergence", residual=abs(g) / scale, iterations=used)
         dx = g / (1.0 + h * h / (4.0 * m) * d2V(0.5 * (q0 + x)))
         if abs(dx) > cfg.max_step:
             raise NewtonError("diverged", residual=abs(g) / scale, iterations=used)
         x -= dx
-        g = x - q0 - h / m * p0 + h * h / (2.0 * m) * dV(0.5 * (q0 + x))
-    p1 = p0 - h * dV(0.5 * (q0 + x))
-    return PhasePoint(p1, x)
 
 
 def run_midpoint(

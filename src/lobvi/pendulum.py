@@ -100,51 +100,41 @@ def discrete_lagrangian_nl(element: ElementState, params: StepParams) -> float:
     return kin - pot
 
 
-def internal_equations_residual(
-    unknowns: StepUnknowns, q_l: float, q_r: float, params: StepParams
-) -> tuple:
-    """Left minus right of the two interior stationarity equations.
-
-    Zero when the interior nodes make the element action stationary for the
-    given borders.  For V = 0 the solution is the linear interpolant.
-    """
-    dV = params.potential.dV
-    h, m = params.h, params.m
-    coef = h * h / (30.0 * m)
-    vx = dV(unknowns.q_xi)
-    vc = dV(unknowns.q_xic)
-    r1 = unknowns.q_xi - coef * (vc + 2.0 * vx) - ((1.0 - XI) * q_l + XI * q_r)
-    r2 = unknowns.q_xic - coef * (2.0 * vc + vx) - (XI * q_l + (1.0 - XI) * q_r)
-    return (r1, r2)
-
-
-def dynamics_residual(
+def step_residual(
     unknowns: StepUnknowns,
     p_j: float,
     q_j: float,
     params: StepParams,
     dv_j: Optional[float] = None,
 ) -> tuple:
-    """Left sides of the momentum and state update equations.
+    """Left sides (r1, r2, r3, r4) of the four step equations, in order.
 
-    Momentum update carries the (1, 5, 5, 1)/12 force weights; the state
-    update carries the sqrt(5)-weighted interior force difference and the
-    averaged momentum.  dv_j is V'(q_j) when the caller already has it.
+    r1, r2: left minus right of the two interior stationarity equations, zero
+    when the interior nodes make the element action stationary between q_j
+    and q_next (for V = 0 the linear interpolant).  r3: the momentum update
+    with the (1, 5, 5, 1)/12 force weights.  r4: the state update with the
+    sqrt(5)-weighted interior force difference and the averaged momentum.
+    V' is evaluated once at each node; dv_j is V'(q_j) when the caller
+    already has it.
     """
     dV = params.potential.dV
     h, m = params.h, params.m
-    vx = dV(unknowns.q_xi)
-    vc = dV(unknowns.q_xic)
+    u = unknowns
+    coef = h * h / (30.0 * m)
+    vx = dV(u.q_xi)
+    vc = dV(u.q_xic)
     v0 = dV(q_j) if dv_j is None else dv_j
-    v1 = dV(unknowns.q_next)
-    r3 = unknowns.p_next - p_j + h * (v0 + 5.0 * (vx + vc) + v1) / 12.0
+    v1 = dV(u.q_next)
+    r1 = u.q_xi - coef * (vc + 2.0 * vx) - ((1.0 - XI) * q_j + XI * u.q_next)
+    r2 = u.q_xic - coef * (2.0 * vc + vx) - (XI * q_j + (1.0 - XI) * u.q_next)
+    r3 = u.p_next - p_j + h * (v0 + 5.0 * (vx + vc) + v1) / 12.0
     r4 = (
-        unknowns.q_next
+        u.q_next
         - q_j
         - h * h / (24.0 * m) * (v1 + SQRT5 * (vc - vx) - v0)
-        - h / (2.0 * m) * (unknowns.p_next + p_j)
+        - h / (2.0 * m) * (u.p_next + p_j)
     )
-    return (r3, r4)
+    return (r1, r2, r3, r4)
 
 
 def jacobian_dFL(unknowns: StepUnknowns, params: StepParams) -> tuple:
@@ -205,8 +195,7 @@ def newton_step_solve(
     res = math.inf
     for used in range(cfg.max_iter + 1):
         u = StepUnknowns(a, b, p, n)
-        f1, f2 = internal_equations_residual(u, q_j, n, params)
-        f3, f4 = dynamics_residual(u, p_j, q_j, params, dv_j)
+        f1, f2, f3, f4 = step_residual(u, p_j, q_j, params, dv_j)
         res = max(abs(f1) / sq, abs(f2) / sq, abs(f3) / sp, abs(f4) / sq)
         if res <= cfg.tol:
             return u, used

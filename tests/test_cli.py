@@ -91,7 +91,7 @@ class TestParseConfig:
             "mass = 2.5\n"
             "meshes = 8, 16\n"
         )
-        cfg = parse_config(["trajectory", "--config", str(path)])
+        cfg = parse_config(["convergence", "--config", str(path)])
         assert cfg.system == "pendulum"
         assert cfg.scheme == "midpoint"
         assert cfg.m == 2.5
@@ -186,6 +186,8 @@ class TestExperimentConfig:
             dict(system="pendulum", amplitude=3.5),
             dict(system="pendulum", amplitude=0.0),
             dict(meshes=(2,)),
+            dict(meshes=(10, 20)),
+            dict(command="drift", meshes=(10, 20)),
         ],
     )
     def test_rejects_bad_values(self, over):
@@ -460,6 +462,39 @@ class TestExitCodes:
         with contextlib.redirect_stdout(io.StringIO()):
             code, _ = call_main([*args, "--scheme", "midpoint"])
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "flag", [["--system", "pendulum"], ["--scheme", "midpoint"], ["--periods", "7"],
+                 ["--amplitude", "1.0"], ["--meshes", "10"]],
+        ids=["system", "scheme", "periods", "amplitude", "meshes"],
+    )
+    def test_stability_rejects_options_it_does_not_read(self, tmp_path, flag):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["stability", *flag, "--out", "-"])
+        assert code == 2
+        assert buf.getvalue() == ""
+        path = tmp_path / "scan.cfg"
+        path.write_text(f"mass = 1.0\n{flag[0][2:]} = {flag[1]}\n")
+        code, err = call_main(["stability", "--config", str(path), "--out", "-"])
+        assert code == 2
+        assert err == f"config error: {path}:2: stability takes no key {flag[0][2:]!r}\n"
+
+    def test_stability_reads_mass_and_omega(self, tmp_path):
+        path = tmp_path / "scan.cfg"
+        path.write_text("mass = 2.0\nomega = 3.0\n")
+        cfg = parse_config(["stability", "--config", str(path)])
+        assert (cfg.m, cfg.omega) == (2.0, 3.0)
+        assert cfg.out == "stability_harmonic_lobatto.csv"
+
+    @pytest.mark.parametrize("command", ["trajectory", "drift"])
+    def test_extra_mesh_counts_are_rejected(self, command):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code, err = call_main([command, "--meshes", "10,20", "--out", "-"])
+        assert code == 2
+        assert err == f"config error: {command} takes one mesh count, got 2\n"
+        assert buf.getvalue() == ""
 
     def test_success_returns_zero(self, tmp_path):
         code, _ = call_main(

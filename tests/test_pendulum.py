@@ -18,16 +18,16 @@ from lobvi.mechanics import (
     harmonic_potential,
     pendulum_potential,
 )
+from lobvi.midpoint import step_midpoint
 from lobvi.pendulum import (
     NewtonConfig,
     NewtonError,
     StepUnknowns,
     discrete_lagrangian_nl,
-    dynamics_residual,
-    internal_equations_residual,
     jacobian_dFL,
     newton_step_solve,
     run_pendulum,
+    step_residual,
     symplecticity_defect,
 )
 from lobvi.quadrature import XI
@@ -60,12 +60,7 @@ def dense_newton(p_j, q_j, params, cfg=NewtonConfig()):
     scale = np.array([sq, sq, sp, sq])
     for used in range(cfg.max_iter + 1):
         u = StepUnknowns(*x.tolist())
-        f = np.array(
-            [
-                *internal_equations_residual(u, q_j, u.q_next, params),
-                *dynamics_residual(u, p_j, q_j, params),
-            ]
-        )
+        f = np.array(step_residual(u, p_j, q_j, params))
         if np.max(np.abs(f) / scale) <= cfg.tol:
             return u, used
         x = x + np.linalg.solve(np.array(jacobian_dFL(u, params)), -f)
@@ -122,7 +117,7 @@ class TestInternalEquations:
         q_l, q_r = 0.3, -0.4
         q_xi, q_xic = internal_dofs(q_l, q_r, hp)
         u = StepUnknowns(q_xi=q_xi, q_xic=q_xic, p_next=0.0, q_next=q_r)
-        r1, r2 = internal_equations_residual(u, q_l, q_r, harmonic_nl_params())
+        r1, r2 = step_residual(u, 0.0, q_l, harmonic_nl_params())[:2]
         assert abs(r1) <= 1e-12 and abs(r2) <= 1e-12
 
     def test_free_motion_linear_interpolant(self):
@@ -134,18 +129,18 @@ class TestInternalEquations:
             p_next=0.0,
             q_next=q_r,
         )
-        r1, r2 = internal_equations_residual(u, q_l, q_r, params)
+        r1, r2 = step_residual(u, 0.0, q_l, params)[:2]
         assert abs(r1) < 1e-15 and abs(r2) < 1e-15
 
     def test_equilibrium(self):
         u = StepUnknowns(0.0, 0.0, 0.0, 0.0)
-        assert internal_equations_residual(u, 0.0, 0.0, pendulum_params()) == (0.0, 0.0)
+        assert step_residual(u, 0.0, 0.0, pendulum_params())[:2] == (0.0, 0.0)
 
 
 class TestDynamicsResidual:
     def test_equilibrium(self):
         u = StepUnknowns(0.0, 0.0, 0.0, 0.0)
-        assert dynamics_residual(u, 0.0, 0.0, pendulum_params()) == (0.0, 0.0)
+        assert step_residual(u, 0.0, 0.0, pendulum_params())[2:] == (0.0, 0.0)
 
     def test_closed_form_step_has_zero_residual(self):
         hp = HarmonicParams(m=1.0, omega=W, h=0.05)
@@ -153,7 +148,7 @@ class TestDynamicsResidual:
         out = step_harmonic(pt, transfer_matrix(hp))
         q_xi, q_xic = internal_dofs(pt.q, out.q, hp)
         u = StepUnknowns(q_xi=q_xi, q_xic=q_xic, p_next=out.p, q_next=out.q)
-        r3, r4 = dynamics_residual(u, pt.p, pt.q, harmonic_nl_params())
+        r3, r4 = step_residual(u, pt.p, pt.q, harmonic_nl_params())[2:]
         assert abs(r3) <= 1e-11 and abs(r4) <= 1e-11
 
     def test_free_motion_iff_drift(self):
@@ -161,13 +156,13 @@ class TestDynamicsResidual:
         p0, q0 = 1.2, 0.3
         drift = q0 + 0.25 * p0 / 2.0
         good = StepUnknowns(0.0, 0.0, p_next=p0, q_next=drift)
-        r3, r4 = dynamics_residual(good, p0, q0, params)
+        r3, r4 = step_residual(good, p0, q0, params)[2:]
         assert abs(r3) <= 1e-15 and abs(r4) <= 1e-15
         bad_p = StepUnknowns(0.0, 0.0, p_next=p0 + 1e-3, q_next=drift)
-        r3, r4 = dynamics_residual(bad_p, p0, q0, params)
+        r3, r4 = step_residual(bad_p, p0, q0, params)[2:]
         assert abs(r3) > 1e-4
         bad_q = StepUnknowns(0.0, 0.0, p_next=p0, q_next=drift + 1e-3)
-        r3, r4 = dynamics_residual(bad_q, p0, q0, params)
+        r3, r4 = step_residual(bad_q, p0, q0, params)[2:]
         assert abs(r4) > 1e-4
 
 
@@ -204,10 +199,7 @@ class TestJacobian:
         u0 = np.array([0.8, 1.0, 0.45, 1.05])
 
         def residual(vec):
-            u = StepUnknowns(*vec)
-            r12 = internal_equations_residual(u, q_j, u.q_next, params)
-            r34 = dynamics_residual(u, p_j, q_j, params)
-            return np.array([*r12, *r34])
+            return np.array(step_residual(StepUnknowns(*vec), p_j, q_j, params))
 
         J = np.array(jacobian_dFL(StepUnknowns(*u0), params))
         eps = 1e-6
@@ -246,9 +238,8 @@ class TestNewton:
         sq, sp = max(1.0, abs(q)), max(1.0, abs(p))
         for name, scale in (("q_xi", sq), ("q_xic", sq), ("p_next", sp), ("q_next", sq)):
             assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12 * scale
-        r12 = internal_equations_residual(got, q, got.q_next, params)
-        r34 = dynamics_residual(got, p, q, params)
-        scaled = [abs(r) / s for r, s in zip((*r12, *r34), (sq, sq, sp, sq))]
+        residual = step_residual(got, p, q, params)
+        scaled = [abs(r) / s for r, s in zip(residual, (sq, sq, sp, sq))]
         assert max(scaled) <= NewtonConfig().tol
 
     def test_iteration_budget_on_table_setup(self):
@@ -274,6 +265,50 @@ class TestNewton:
             assert info.value.iterations == iterations
             assert info.value.step is None and info.value.n_steps is None
             assert math.isfinite(info.value.residual)
+
+
+def counting_potential(base):
+    """`base` with dV and d2V wrapped to count their calls in `calls`."""
+    calls = {"dV": 0, "d2V": 0}
+
+    def counted(name, fn):
+        def wrapper(q):
+            calls[name] += 1
+            return fn(q)
+
+        return wrapper
+
+    pot = PotentialModel(base.tag, base.V, counted("dV", base.dV), counted("d2V", base.d2V))
+    return pot, calls
+
+
+class TestForceEvaluations:
+    """V' is evaluated once per node per residual: 1 + 3 (iterations + 1)
+    times per Lobatto step, iterations + 1 times per midpoint step."""
+
+    starts = [PhasePoint(0.0, 0.0), PhasePoint(0.0, math.pi / 2.0), PhasePoint(2.0, 3.0)]
+
+    @pytest.mark.parametrize("h", [PERIOD / 47.0, PERIOD / 7.0])
+    def test_lobatto_step(self, h):
+        seen = set()
+        for pt in self.starts:
+            pot, calls = counting_potential(pendulum_potential(1.0, W))
+            _, used = newton_step_solve(pt.p, pt.q, StepParams(m=1.0, h=h, potential=pot))
+            assert calls == {"dV": 1 + 3 * (used + 1), "d2V": 3 * used}
+            seen.add(used)
+        assert 0 in seen and len(seen) > 1
+
+    @pytest.mark.parametrize("h", [PERIOD / 2000.0, PERIOD / 3.0])
+    def test_midpoint_step(self, h):
+        seen = set()
+        for pt in self.starts:
+            pot, calls = counting_potential(pendulum_potential(1.0, W))
+            step_midpoint(pt, StepParams(m=1.0, h=h, potential=pot))
+            # one d2V call per Newton iteration
+            used = calls["d2V"]
+            assert calls["dV"] == used + 1
+            seen.add(used)
+        assert 0 in seen and len(seen) > 1
 
 
 class TestStepAndRun:
