@@ -288,7 +288,7 @@ class TestForceEvaluations:
 
     starts = [PhasePoint(0.0, 0.0), PhasePoint(0.0, math.pi / 2.0), PhasePoint(2.0, 3.0)]
 
-    @pytest.mark.parametrize("h", [PERIOD / 47.0, PERIOD / 7.0])
+    @pytest.mark.parametrize("h", [PERIOD / 47.0, PERIOD / 7.0], ids=["N47", "N7"])
     def test_lobatto_step(self, h):
         seen = set()
         for pt in self.starts:
@@ -298,7 +298,7 @@ class TestForceEvaluations:
             seen.add(used)
         assert 0 in seen and len(seen) > 1
 
-    @pytest.mark.parametrize("h", [PERIOD / 2000.0, PERIOD / 3.0])
+    @pytest.mark.parametrize("h", [PERIOD / 2000.0, PERIOD / 3.0], ids=["N2000", "N3"])
     def test_midpoint_step(self, h):
         seen = set()
         for pt in self.starts:
