@@ -57,7 +57,6 @@ from .mechanics import (
 )
 from .midpoint import run_midpoint, step_midpoint
 from .pendulum import (
-    NewtonConfig,
     NewtonError,
     StepUnknowns,
     discrete_lagrangian_nl,

@@ -147,30 +147,19 @@ def convergence_table(
     )
 
 
-def energy_drift_series(
-    record: TrajectoryRecord,
-    window: int,
-    observable: Optional[str] = None,
-) -> tuple:
+def energy_drift_series(record: TrajectoryRecord, window: int) -> tuple:
     """Running energy-error maxima per period, plus a linear growth rate.
 
     The record is treated as spanning `window` equal periods.  Returns
     (series, rate) where series holds (period index, running max |E - E0|)
-    pairs and rate is the OLS slope of the series.  observable defaults to
-    H_d when the record has one, else H.
+    pairs and rate is the OLS slope of the series.  The energy is H_d when
+    the record has one, else H.
     """
     if window < 1:
         raise ValueError("window must cover at least one period")
-    if observable is None:
-        observable = "H_d" if record.discrete_energies is not None else "H"
-    if observable == "H_d":
-        series = record.discrete_energies
-    elif observable == "H":
-        series = record.energies
-    else:
-        raise ValueError(f"unknown energy observable {observable!r}")
+    series = record.energies if record.discrete_energies is None else record.discrete_energies
     if series is None:
-        raise ValueError(f"observable {observable!r} not present in the record")
+        raise ValueError("record has neither H_d nor H")
 
     t0 = record.times[0]
     period = record.span / window
@@ -247,11 +236,10 @@ def stability_scan(
 
 
 def map_jacobian_determinant(
-    step: Callable[[PhasePoint], PhasePoint], point: PhasePoint, eps: float = 1e-6
+    step: Callable[[PhasePoint], PhasePoint], point: PhasePoint
 ) -> float:
     """Central-difference Jacobian determinant of a one-step phase map."""
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
+    eps = 1e-6
     pp = step(PhasePoint(point.p + eps, point.q))
     pm = step(PhasePoint(point.p - eps, point.q))
     qp = step(PhasePoint(point.p, point.q + eps))

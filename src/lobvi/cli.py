@@ -68,6 +68,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown system {self.system!r}")
         if self.scheme not in _SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
+        if self.command == "stability" and (self.system, self.scheme) != ("harmonic", "lobatto"):
+            raise ConfigError(
+                f"stability scans the harmonic lobatto update, got {self.system} {self.scheme}"
+            )
         object.__setattr__(self, "meshes", tuple(int(n) for n in self.meshes))
         if not self.meshes:
             raise ConfigError("need at least one mesh count")
@@ -86,6 +90,10 @@ class ExperimentConfig:
                     f"{stability_limit():.4f} of the harmonic Lobatto scheme"
                 )
         if self.command == "convergence":
+            if len(self.meshes) < 2:
+                raise ConfigError(
+                    f"convergence takes at least two mesh counts, got {self.meshes[0]}"
+                )
             for a, b in zip(self.meshes, self.meshes[1:]):
                 if b != 2 * a:
                     raise ConfigError(
@@ -156,7 +164,8 @@ _KEYS = {name: tuple(_OPTIONS) for name in _COMMANDS}
 _KEYS["stability"] = ("mass", "omega", "out")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="lobvi",
         description="Variational Lobatto integrator experiments (CSV output).",
@@ -173,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
         for key in _KEYS[name]:
             p.add_argument(f"--{key}", help=_OPTIONS[key][1])
         p.add_argument("--config", help="key=value file; flags take precedence")
-    return parser
+    return parser, sub.choices
 
 
 def _read_config_file(path: str, command: str) -> dict:
@@ -210,7 +219,11 @@ def _default_meshes(command: str, system: str) -> tuple:
 
 def parse_config(argv: Sequence[str]) -> ExperimentConfig:
     """Build a validated config from argv, merging in any --config file."""
-    ns = _build_parser().parse_args(list(argv))
+    parser, subparsers = _build_parser()
+    ns, extra = parser.parse_known_args(list(argv))
+    if extra:
+        # the subcommand's own usage line lists the options it takes
+        subparsers[ns.command].error(f"unrecognized arguments: {' '.join(extra)}")
     raw = _read_config_file(ns.config, ns.command) if ns.config else {}
     for key in _KEYS[ns.command]:
         if getattr(ns, key) is not None:

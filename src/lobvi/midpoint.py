@@ -6,50 +6,39 @@ honest to be compared against.
 
 from __future__ import annotations
 
-from typing import Optional
-
+from . import pendulum
 from .mechanics import PhasePoint, StepParams
-from .pendulum import NewtonConfig, NewtonError, fold
+from .pendulum import NewtonError, fold
 
 
-def step_midpoint(
-    point: PhasePoint, params: StepParams, cfg: Optional[NewtonConfig] = None
-) -> PhasePoint:
+def step_midpoint(point: PhasePoint, params: StepParams) -> PhasePoint:
     """One step of (q+ - q)/h = (p + p+)/2m, (p+ - p)/h = -V'((q + q+)/2).
 
     The state update is solved by scalar Newton; linear potentials converge
-    in one iteration.
+    in one iteration.  It stops, caps and guards by the Lobatto solver's
+    constants, read from `pendulum` at call time.
     """
-    if cfg is None:
-        cfg = NewtonConfig()
     m, h = params.m, params.h
     dV = params.potential.dV
     d2V = params.potential.d2V
     p0, q0 = point.p, point.q
     x = q0 + h * p0 / m
     scale = max(1.0, abs(q0))
-    tol = cfg.tol * scale
-    for used in range(cfg.max_iter + 1):
+    tol, max_iter = pendulum.TOL * scale, pendulum.MAX_ITER
+    for used in range(max_iter + 1):
         # the force at the midpoint serves the residual and, once converged, p1
         force = dV(0.5 * (q0 + x))
         g = x - q0 - h / m * p0 + h * h / (2.0 * m) * force
         if abs(g) <= tol:
             return PhasePoint(p0 - h * force, x)
-        if used == cfg.max_iter:
+        if used == max_iter:
             raise NewtonError("no convergence", residual=abs(g) / scale, iterations=used)
         dx = g / (1.0 + h * h / (4.0 * m) * d2V(0.5 * (q0 + x)))
-        if abs(dx) > cfg.max_step:
+        if abs(dx) > pendulum.MAX_STEP:
             raise NewtonError("diverged", residual=abs(g) / scale, iterations=used)
         x -= dx
 
 
-def run_midpoint(
-    point: PhasePoint,
-    params: StepParams,
-    n_steps: int,
-    cfg: Optional[NewtonConfig] = None,
-) -> list:
+def run_midpoint(point: PhasePoint, params: StepParams, n_steps: int) -> list:
     """Fold step_midpoint; returns n_steps + 1 phase points."""
-    if cfg is None:
-        cfg = NewtonConfig()
-    return fold(lambda pt: step_midpoint(pt, params, cfg), point, n_steps)
+    return fold(lambda pt: step_midpoint(pt, params), point, n_steps)

@@ -19,8 +19,16 @@ from typing import Callable, Optional
 
 from .analysis import map_jacobian_determinant
 from .harmonic import kinetic_form, stability_limit
-from .mechanics import ElementState, PhasePoint, StepParams, _require
+from .mechanics import ElementState, PhasePoint, StepParams
 from .quadrature import SQRT5, XI
+
+# One stopping rule for both implicit schemes: stop once the scaled residual
+# infinity norm is at most TOL (1e-14 puts every Table 2 entry within 2% of
+# print), fail after MAX_ITER iterations, and call a Newton increment larger
+# than MAX_STEP divergence (quadratic convergence never gets near it).
+TOL = 1e-14
+MAX_ITER = 20
+MAX_STEP = 1e6
 
 
 @dataclass(frozen=True)
@@ -31,22 +39,6 @@ class StepUnknowns:
     q_xic: float
     p_next: float
     q_next: float
-
-
-@dataclass(frozen=True)
-class NewtonConfig:
-    """Tolerance on the scaled residual infinity norm, iteration cap, and a
-    guard on the Newton step norm past which the iteration is declared
-    divergent (quadratic convergence never gets near it)."""
-
-    tol: float = 1e-14
-    max_iter: int = 20
-    max_step: float = 1e6
-
-    def __post_init__(self):
-        _require("tol", self.tol, self.tol > 0.0, "positive")
-        _require("max_iter", self.max_iter, self.max_iter >= 1, "at least 1")
-        _require("max_step", self.max_step, self.max_step > 0.0, "positive")
 
 
 class NewtonError(RuntimeError):
@@ -165,12 +157,7 @@ def jacobian_dFL(unknowns: StepUnknowns, params: StepParams) -> tuple:
     )
 
 
-def newton_step_solve(
-    p_j: float,
-    q_j: float,
-    params: StepParams,
-    cfg: Optional[NewtonConfig] = None,
-) -> tuple:
+def newton_step_solve(p_j: float, q_j: float, params: StepParams) -> tuple:
     """Solve one step; returns (StepUnknowns, iterations used).
 
     Initial guess: interior nodes interpolate linearly between q_j and the
@@ -182,8 +169,6 @@ def newton_step_solve(
     row, solves the 3x3 in (q_xi, q_xic, q_next) by Cramer's rule and
     recovers dp_next from the momentum row; the 3x3 determinant is det J.
     """
-    if cfg is None:
-        cfg = NewtonConfig()
     m, h = params.m, params.h
     dv_j = params.potential.dV(q_j)
     drift = q_j + h * p_j / m
@@ -193,13 +178,13 @@ def newton_step_solve(
     sp = max(1.0, abs(p_j))
 
     res = math.inf
-    for used in range(cfg.max_iter + 1):
+    for used in range(MAX_ITER + 1):
         u = StepUnknowns(a, b, p, n)
         f1, f2, f3, f4 = step_residual(u, p_j, q_j, params, dv_j)
         res = max(abs(f1) / sq, abs(f2) / sq, abs(f3) / sp, abs(f4) / sq)
-        if res <= cfg.tol:
+        if res <= TOL:
             return u, used
-        if used == cfg.max_iter:
+        if used == MAX_ITER:
             break
         (j11, j12, _, j14), (j21, j22, _, j24), (j31, j32, _, j34), (
             j41, j42, j43, j44
@@ -217,10 +202,10 @@ def newton_step_solve(
         db = (j11 * e1 - g1 * c2 + j14 * e3) / det
         dn = (-j11 * e2 - j12 * e3 + g1 * c3) / det
         dp = -f3 - j31 * da - j32 * db - j34 * dn
-        if max(abs(da), abs(db), abs(dp), abs(dn)) > cfg.max_step:
+        if max(abs(da), abs(db), abs(dp), abs(dn)) > MAX_STEP:
             raise NewtonError("diverged", residual=res, iterations=used)
         a, b, p, n = a + da, b + db, p + dp, n + dn
-    raise NewtonError("no convergence", residual=res, iterations=cfg.max_iter)
+    raise NewtonError("no convergence", residual=res, iterations=MAX_ITER)
 
 
 def _warn_if_stiff(point: PhasePoint, params: StepParams) -> None:
@@ -235,38 +220,24 @@ def _warn_if_stiff(point: PhasePoint, params: StepParams) -> None:
         )
 
 
-def run_pendulum(
-    point: PhasePoint,
-    params: StepParams,
-    n_steps: int,
-    cfg: Optional[NewtonConfig] = None,
-) -> tuple:
+def run_pendulum(point: PhasePoint, params: StepParams, n_steps: int) -> tuple:
     """Fold the implicit step n_steps times.
 
     Returns (points, iterations) with len(points) = n_steps + 1 and one
     iteration count per step.
     """
     _warn_if_stiff(point, params)
-    if cfg is None:
-        cfg = NewtonConfig()
     iterations = []
 
     def step(pt: PhasePoint) -> PhasePoint:
-        unknowns, used = newton_step_solve(pt.p, pt.q, params, cfg)
+        unknowns, used = newton_step_solve(pt.p, pt.q, params)
         iterations.append(used)
         return PhasePoint(unknowns.p_next, unknowns.q_next)
 
     return fold(step, point, n_steps), iterations
 
 
-def symplecticity_defect(
-    point: PhasePoint,
-    params: StepParams,
-    cfg: Optional[NewtonConfig] = None,
-    eps: float = 1e-6,
-) -> float:
+def symplecticity_defect(point: PhasePoint, params: StepParams) -> float:
     """|det J - 1| for the central-difference Jacobian of the one-step map."""
-    det = map_jacobian_determinant(
-        lambda pt: run_pendulum(pt, params, 1, cfg)[0][1], point, eps
-    )
+    det = map_jacobian_determinant(lambda pt: run_pendulum(pt, params, 1)[0][1], point)
     return abs(det - 1.0)

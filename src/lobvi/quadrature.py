@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .mechanics import ElementState
 
@@ -99,14 +99,14 @@ def stiffness_matrix() -> tuple:
     )
 
 
-def assemble_stiffness(rule: Optional[QuadratureRule] = None) -> tuple:
-    """K assembled by quadrature of phi_a' phi_b', as four rows of floats.
+def assemble_stiffness() -> tuple:
+    """K assembled by Lobatto quadrature of phi_a' phi_b', as four rows of floats.
 
     The integrands are degree 4, inside the exactness range of the rule, so
     this must reproduce the closed form; it is kept as an independent route
     on purpose.
     """
-    rule = rule if rule is not None else lobatto_rule()
+    rule = lobatto_rule()
     grads = [(w, eval_basis_deriv(node)) for node, w in zip(rule.nodes, rule.weights)]
     return tuple(
         tuple(sum(w * (g[a] * g[b]) for w, g in grads) for b in range(4))

@@ -180,8 +180,6 @@ class TestEnergyDriftSeries:
         )
         series, _ = energy_drift_series(rec, window=1)
         assert series == [(1, 0.0)]
-        series, _ = energy_drift_series(rec, window=1, observable="H")
-        assert series == [(1, 2.0)]
 
     def test_single_window_rate_is_zero(self):
         rec = make_record()
@@ -196,10 +194,6 @@ class TestEnergyDriftSeries:
         rec = make_record(with_h=False)
         with pytest.raises(ValueError):
             energy_drift_series(rec, window=1)
-        with pytest.raises(ValueError):
-            energy_drift_series(make_record(), window=1, observable="H_d")
-        with pytest.raises(ValueError):
-            energy_drift_series(make_record(), window=1, observable="volume")
 
 
 class TestStabilityScan:
@@ -265,10 +259,6 @@ class TestMapJacobianDeterminant:
             lambda pt: step_harmonic(pt, tm), PhasePoint(0.2, 0.5)
         )
         assert abs(det - 1.0) < 1e-9
-
-    def test_eps_validation(self):
-        with pytest.raises(ValueError):
-            map_jacobian_determinant(lambda pt: pt, PhasePoint(0.0, 0.0), eps=0.0)
 
 
 class TestRunHarmonicRecordIntegration:

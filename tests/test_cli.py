@@ -188,6 +188,9 @@ class TestExperimentConfig:
             dict(meshes=(2,)),
             dict(meshes=(10, 20)),
             dict(command="drift", meshes=(10, 20)),
+            dict(command="stability", system="pendulum"),
+            dict(command="stability", scheme="midpoint"),
+            dict(command="convergence", meshes=(47,)),
         ],
     )
     def test_rejects_bad_values(self, over):
@@ -469,11 +472,12 @@ class TestExitCodes:
         ids=["system", "scheme", "periods", "amplitude", "meshes"],
     )
     def test_stability_rejects_options_it_does_not_read(self, tmp_path, flag):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        buf, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
             code = main(["stability", *flag, "--out", "-"])
         assert code == 2
         assert buf.getvalue() == ""
+        assert err.getvalue().startswith("usage: lobvi stability")
         path = tmp_path / "scan.cfg"
         path.write_text(f"mass = 1.0\n{flag[0][2:]} = {flag[1]}\n")
         code, err = call_main(["stability", "--config", str(path), "--out", "-"])

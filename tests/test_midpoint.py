@@ -7,7 +7,8 @@ from lobvi.exact import HarmonicExact, PendulumExact, harmonic_exact, pendulum_e
 from lobvi.harmonic import HarmonicParams, run_harmonic
 from lobvi.mechanics import PhasePoint, StepParams, harmonic_potential, pendulum_potential
 from lobvi.midpoint import run_midpoint, step_midpoint
-from lobvi.pendulum import NewtonConfig, NewtonError
+import lobvi.pendulum
+from lobvi.pendulum import NewtonError
 
 W = 2.0 * math.pi
 
@@ -59,11 +60,12 @@ class TestStep:
         )
         assert abs(det - 1.0) <= 1e-8
 
-    def test_solver_cap_raises(self):
+    def test_solver_cap_raises(self, monkeypatch):
         params = StepParams(m=1.0, h=0.3, potential=pendulum_potential(1.0, W))
-        cfg = NewtonConfig(tol=1e-15, max_iter=1)
+        monkeypatch.setattr(lobvi.pendulum, "TOL", 1e-15)
+        monkeypatch.setattr(lobvi.pendulum, "MAX_ITER", 1)
         with pytest.raises(NewtonError):
-            step_midpoint(PhasePoint(2.0, 1.0), params, cfg)
+            step_midpoint(PhasePoint(2.0, 1.0), params)
 
 
 class TestOrder:
@@ -117,14 +119,18 @@ class TestRun:
         pts = run_midpoint(PhasePoint(0.0, 1.0), harmonic_mid(0.1), 7)
         assert len(pts) == 8
 
-    def test_failing_step_is_identified(self):
+    def test_failing_step_is_identified(self, monkeypatch):
         params = StepParams(m=1.0, h=0.3, potential=pendulum_potential(1.0, W))
         cases = [
-            (NewtonConfig(tol=1e-15, max_iter=1), "no convergence"),
-            (NewtonConfig(max_step=1e-12), "diverged"),
+            (dict(TOL=1e-15, MAX_ITER=1), "no convergence"),
+            (dict(MAX_STEP=1e-12), "diverged"),
         ]
-        for cfg, reason in cases:
-            with pytest.raises(NewtonError, match=r"step \d+ of 5") as info:
-                run_midpoint(PhasePoint(2.0, 1.0), params, 5, cfg)
+        for constants, reason in cases:
+            with monkeypatch.context() as mp, pytest.raises(
+                NewtonError, match=r"step \d+ of 5"
+            ) as info:
+                for name, value in constants.items():
+                    mp.setattr(lobvi.pendulum, name, value)
+                run_midpoint(PhasePoint(2.0, 1.0), params, 5)
             assert info.value.reason == reason
             assert 1 <= info.value.step <= 5 and info.value.n_steps == 5

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import lobvi.pendulum
 from lobvi.exact import PendulumExact, pendulum_exact
 from lobvi.harmonic import HarmonicParams, internal_dofs, transfer_matrix, step_harmonic
 from lobvi.harmonic import discrete_lagrangian as discrete_lagrangian_harmonic
@@ -20,7 +21,6 @@ from lobvi.mechanics import (
 )
 from lobvi.midpoint import step_midpoint
 from lobvi.pendulum import (
-    NewtonConfig,
     NewtonError,
     StepUnknowns,
     discrete_lagrangian_nl,
@@ -48,9 +48,9 @@ def harmonic_nl_params(h=0.05, m=1.0):
 lengths = st.floats(-3.0, 3.0, allow_nan=False)
 
 
-def dense_newton(p_j, q_j, params, cfg=NewtonConfig()):
+def dense_newton(p_j, q_j, params):
     """Reference solve: the full 4x4 Newton with np.linalg.solve on the same
-    residual, Jacobian, initial guess and scaled stopping rule."""
+    residual, Jacobian, initial guess, scaled stopping rule and constants."""
     m, h = params.m, params.h
     drift = q_j + h * p_j / m
     x = np.array(
@@ -58,10 +58,10 @@ def dense_newton(p_j, q_j, params, cfg=NewtonConfig()):
     )
     sq, sp = max(1.0, abs(q_j)), max(1.0, abs(p_j))
     scale = np.array([sq, sq, sp, sq])
-    for used in range(cfg.max_iter + 1):
+    for used in range(lobvi.pendulum.MAX_ITER + 1):
         u = StepUnknowns(*x.tolist())
         f = np.array(step_residual(u, p_j, q_j, params))
-        if np.max(np.abs(f) / scale) <= cfg.tol:
+        if np.max(np.abs(f) / scale) <= lobvi.pendulum.TOL:
             return u, used
         x = x + np.linalg.solve(np.array(jacobian_dFL(u, params)), -f)
     raise AssertionError("dense reference did not converge")
@@ -77,18 +77,6 @@ class TestValidation:
             fields[name] = value
             with pytest.raises(ValueError, match=rf"^{name} must be") as info:
                 StepParams(**fields)
-            assert info.value.field == name
-
-    def test_newton_config(self):
-        cases = [("tol", 0.0), ("max_iter", 0), ("max_step", -1.0)]
-        cases += [
-            (name, bad)
-            for name in ("tol", "max_iter", "max_step")
-            for bad in (math.nan, math.inf)
-        ]
-        for name, value in cases:
-            with pytest.raises(ValueError, match=rf"^{name} must be") as info:
-                NewtonConfig(**{name: value})
             assert info.value.field == name
 
 
@@ -240,31 +228,46 @@ class TestNewton:
             assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12 * scale
         residual = step_residual(got, p, q, params)
         scaled = [abs(r) / s for r, s in zip(residual, (sq, sq, sp, sq))]
-        assert max(scaled) <= NewtonConfig().tol
+        assert max(scaled) <= lobvi.pendulum.TOL
 
     def test_iteration_budget_on_table_setup(self):
         params = pendulum_params()
         _, iters = run_pendulum(PhasePoint(0.0, math.pi / 2.0), params, 50)
         assert max(iters) <= 6
 
-    def test_nonconvergence_reports_residual(self):
+    def test_nonconvergence_reports_residual(self, monkeypatch):
         pot = pendulum_potential(1.0, W)
         nan_curvature = StepParams(
             m=1.0, h=PERIOD / 50.0,
             potential=PotentialModel("nan-curvature", pot.V, pot.dV, lambda q: math.nan),
         )
         cases = [
-            (pendulum_params(), NewtonConfig(tol=1e-15, max_iter=1), "no convergence", 1),
-            (pendulum_params(), NewtonConfig(max_step=1e-12), "diverged", 0),
-            (nan_curvature, NewtonConfig(), "singular Jacobian", 0),
+            (pendulum_params(), dict(TOL=1e-15, MAX_ITER=1), "no convergence", 1),
+            (pendulum_params(), dict(MAX_STEP=1e-12), "diverged", 0),
+            (nan_curvature, {}, "singular Jacobian", 0),
         ]
-        for params, cfg, reason, iterations in cases:
-            with pytest.raises(NewtonError) as info:
-                newton_step_solve(0.0, math.pi / 2.0, params, cfg)
+        for params, constants, reason, iterations in cases:
+            with monkeypatch.context() as mp, pytest.raises(NewtonError) as info:
+                for name, value in constants.items():
+                    mp.setattr(lobvi.pendulum, name, value)
+                newton_step_solve(0.0, math.pi / 2.0, params)
             assert info.value.reason == reason
             assert info.value.iterations == iterations
             assert info.value.step is None and info.value.n_steps is None
             assert math.isfinite(info.value.residual)
+
+    def test_one_cap_binds_both_schemes(self, monkeypatch):
+        """Both implicit steps read the solver constants from lobvi.pendulum."""
+        monkeypatch.setattr(lobvi.pendulum, "MAX_ITER", 1)
+        params = pendulum_params(h=0.3)
+        solves = [
+            lambda: newton_step_solve(2.0, 1.0, params),
+            lambda: step_midpoint(PhasePoint(2.0, 1.0), params),
+        ]
+        for solve in solves:
+            with pytest.raises(NewtonError) as info:
+                solve()
+            assert (info.value.reason, info.value.iterations) == ("no convergence", 1)
 
 
 def counting_potential(base):
@@ -354,11 +357,12 @@ class TestStepAndRun:
         one_period_band = max(drift[: 50 + 1])
         assert max(drift) <= 5.0 * one_period_band
 
-    def test_run_reports_failing_step(self):
+    def test_run_reports_failing_step(self, monkeypatch):
         params = pendulum_params()
-        cfg = NewtonConfig(tol=1e-15, max_iter=1)
+        monkeypatch.setattr(lobvi.pendulum, "TOL", 1e-15)
+        monkeypatch.setattr(lobvi.pendulum, "MAX_ITER", 1)
         with pytest.raises(NewtonError, match=r"step 1 of 3") as info:
-            run_pendulum(PhasePoint(0.0, math.pi / 2.0), params, 3, cfg)
+            run_pendulum(PhasePoint(0.0, math.pi / 2.0), params, 3)
         exc = info.value
         assert exc.reason == "no convergence"
         assert (exc.step, exc.n_steps, exc.iterations) == (1, 3, 1)
@@ -400,13 +404,19 @@ class TestSymplecticityDefect:
 
     def test_pendulum_point(self):
         params = pendulum_params()
-        assert symplecticity_defect(PhasePoint(0.0, math.pi / 2.0), params, eps=1e-6) <= 1e-7
+        assert symplecticity_defect(PhasePoint(0.0, math.pi / 2.0), params) <= 1e-7
 
     def test_smaller_probe_stays_under_noise_floor(self):
         params = pendulum_params()
         pt = PhasePoint(0.3, 0.7)
-        assert symplecticity_defect(pt, params, eps=1e-6) <= 1e-7
-        assert symplecticity_defect(pt, params, eps=5e-7) <= 1e-7
+        assert symplecticity_defect(pt, params) <= 1e-7
+        # the same central difference at half the library's 1e-6 probe
+        eps = 5e-7
+        step = lambda x: run_pendulum(x, params, 1)[0][1]
+        pp, pm = step(PhasePoint(pt.p + eps, pt.q)), step(PhasePoint(pt.p - eps, pt.q))
+        qp, qm = step(PhasePoint(pt.p, pt.q + eps)), step(PhasePoint(pt.p, pt.q - eps))
+        det = ((pp.p - pm.p) * (qp.q - qm.q) - (qp.p - qm.p) * (pp.q - pm.q)) / (2.0 * eps) ** 2
+        assert abs(det - 1.0) <= 1e-7
 
     def test_grid(self):
         params = pendulum_params()
