@@ -164,13 +164,27 @@ _KEYS = {name: tuple(_OPTIONS) for name in _COMMANDS}
 _KEYS["stability"] = ("mass", "omega", "out")
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Sets the arguments it does not recognize aside, as `stray`.
+
+    The top-level parser then returns only those given before the
+    subcommand, so each can be reported under the usage line of the
+    parser it was given to.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        ns, stray = super().parse_known_args(args, namespace)
+        ns.stray = stray
+        return ns, []
+
+
 def _build_parser() -> tuple:
     """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="lobvi",
         description="Variational Lobatto integrator experiments (CSV output).",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
     helps = {
         "trajectory": "node-sampled run of one scheme against the exact solution",
         "convergence": "infinity errors and orders over a doubling mesh family",
@@ -220,10 +234,10 @@ def _default_meshes(command: str, system: str) -> tuple:
 def parse_config(argv: Sequence[str]) -> ExperimentConfig:
     """Build a validated config from argv, merging in any --config file."""
     parser, subparsers = _build_parser()
-    ns, extra = parser.parse_known_args(list(argv))
-    if extra:
-        # the subcommand's own usage line lists the options it takes
-        subparsers[ns.command].error(f"unrecognized arguments: {' '.join(extra)}")
+    ns, stray = parser.parse_known_args(list(argv))
+    for given_to, args in ((parser, stray), (subparsers[ns.command], ns.stray)):
+        if args:
+            given_to.error(f"unrecognized arguments: {' '.join(args)}")
     raw = _read_config_file(ns.config, ns.command) if ns.config else {}
     for key in _KEYS[ns.command]:
         if getattr(ns, key) is not None:
@@ -277,12 +291,14 @@ def _simulate(config: ExperimentConfig, n_per_period: int, periods: int) -> Traj
         points, discrete = run_harmonic(start, HarmonicParams(m=m, omega=w, h=h), n)
 
     times = tuple(j * h for j in range(n + 1))
+    drift = config.command == "drift"
     return TrajectoryRecord(
         times=times,
         points=tuple(points),
-        # drift reads only the energies
-        exact=None if config.command == "drift" else tuple(exact_at(t) for t in times),
-        energies=tuple(energy(pt, potential, m) for pt in points),
+        # drift reads only the energies, and only H_d where the scheme has it
+        exact=None if drift else tuple(exact_at(t) for t in times),
+        energies=None if drift and discrete is not None
+        else tuple(energy(pt, potential, m) for pt in points),
         discrete_energies=None if discrete is None else tuple(discrete),
     )
 

@@ -286,24 +286,191 @@ def run_harmonic(point: PhasePoint, params: HarmonicParams, n_steps: int) -> tup
     fold runs in double-double arithmetic and rounds once per emitted value,
     so the discrete-energy column is flat to the last bit over any horizon
     the tests care about.
+
+    The loop is the `compensated` fold written out as float code: each
+    double-double operation named in a comment is expanded into its
+    two_sum / split / two_prod steps, same operations in the same order, so
+    the bits are those of the calls.  The Dekker splits of the coefficients
+    are taken once, and each new p and q is split once for H_d and the step.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
-    delta, a, b, c = _dd_coefficients(params)
-    two_delta = dd.mul(dd.from_float(2.0), delta)
-    p = dd.from_float(point.p)
-    q = dd.from_float(point.q)
-
-    def hd(pv, qv):
-        num = dd.sub(dd.mul(c, dd.mul(pv, pv)), dd.mul(b, dd.mul(qv, qv)))
-        return dd.to_float(dd.div(num, two_delta))
+    (d0, d1), (a0, a1), (b0, b1), (c0, c1) = _dd_coefficients(params)
+    # two_delta = mul(from_float(2.0), delta)
+    g0, g1 = dd.mul(dd.from_float(2.0), (d0, d1))
+    # the splits two_prod takes of each coefficient, once for the whole run
+    dh, dl = dd.split(d0)
+    ah, al = dd.split(a0)
+    bh, bl = dd.split(b0)
+    ch, cl = dd.split(c0)
+    gh, gl = dd.split(g0)
+    splitter = dd.SPLITTER
+    # p, q = from_float(point.p), from_float(point.q)
+    p0, p1, q0, q1 = point.p, 0.0, point.q, 0.0
 
     points = [point]
-    energies = [hd(p, q)]
-    for _ in range(n_steps):
-        pn = dd.div(dd.add(dd.mul(a, p), dd.mul(b, q)), delta)
-        qn = dd.div(dd.add(dd.mul(c, p), dd.mul(a, q)), delta)
-        p, q = pn, qn
-        points.append(PhasePoint(dd.to_float(p), dd.to_float(q)))
-        energies.append(hd(p, q))
+    energies = []
+    for k in range(n_steps + 1):
+        # split(p[0]), split(q[0])
+        y = splitter * p0
+        ph = y - (y - p0)
+        pl = p0 - ph
+        y = splitter * q0
+        qh = y - (y - q0)
+        ql = q0 - qh
+
+        # u = mul(c, mul(p, p))
+        x = p0 * p0
+        e = ((ph * ph - x) + ph * pl + pl * ph) + pl * pl
+        e += p0 * p1 + p1 * p0
+        w0 = x + e
+        t = w0 - x
+        w1 = (x - (w0 - t)) + (e - t)
+        y = splitter * w0
+        wh = y - (y - w0)
+        wl = w0 - wh
+        x = c0 * w0
+        e = ((ch * wh - x) + ch * wl + cl * wh) + cl * wl
+        e += c0 * w1 + c1 * w0
+        u0 = x + e
+        t = u0 - x
+        u1 = (x - (u0 - t)) + (e - t)
+        # v = mul(b, mul(q, q))
+        x = q0 * q0
+        e = ((qh * qh - x) + qh * ql + ql * qh) + ql * ql
+        e += q0 * q1 + q1 * q0
+        w0 = x + e
+        t = w0 - x
+        w1 = (x - (w0 - t)) + (e - t)
+        y = splitter * w0
+        wh = y - (y - w0)
+        wl = w0 - wh
+        x = b0 * w0
+        e = ((bh * wh - x) + bh * wl + bl * wh) + bl * wl
+        e += b0 * w1 + b1 * w0
+        v0 = x + e
+        t = v0 - x
+        v1 = (x - (v0 - t)) + (e - t)
+        # n = sub(u, v), that is add(u, neg(v))
+        s = u0 + -v0
+        t = s - u0
+        e = (u0 - (s - t)) + (-v0 - t)
+        e += u1 + -v1
+        n0 = s + e
+        t = n0 - s
+        n1 = (s - (n0 - t)) + (e - t)
+        # H_d = to_float(div(n, two_delta))
+        f = n0 / g0
+        y = splitter * f
+        fh = y - (y - f)
+        fl = f - fh
+        x = f * g0
+        e = ((fh * gh - x) + fh * gl + fl * gh) + fl * gl
+        e += f * g1 + 0.0 * g0
+        m0 = x + e
+        t = m0 - x
+        m1 = (x - (m0 - t)) + (e - t)
+        s = n0 + -m0
+        t = s - n0
+        e = (n0 - (s - t)) + (-m0 - t)
+        e += n1 + -m1
+        r0 = s + e
+        t = r0 - s
+        r1 = (s - (r0 - t)) + (e - t)
+        f2 = (r0 + r1) / g0
+        s = f + f2
+        t = s - f
+        energies.append(s + ((f - (s - t)) + (f2 - t)))
+        if k == n_steps:
+            break
+
+        # n = add(mul(a, p), mul(b, q))
+        x = a0 * p0
+        e = ((ah * ph - x) + ah * pl + al * ph) + al * pl
+        e += a0 * p1 + a1 * p0
+        u0 = x + e
+        t = u0 - x
+        u1 = (x - (u0 - t)) + (e - t)
+        x = b0 * q0
+        e = ((bh * qh - x) + bh * ql + bl * qh) + bl * ql
+        e += b0 * q1 + b1 * q0
+        v0 = x + e
+        t = v0 - x
+        v1 = (x - (v0 - t)) + (e - t)
+        s = u0 + v0
+        t = s - u0
+        e = (u0 - (s - t)) + (v0 - t)
+        e += u1 + v1
+        n0 = s + e
+        t = n0 - s
+        n1 = (s - (n0 - t)) + (e - t)
+        # p_next = div(n, delta)
+        f = n0 / d0
+        y = splitter * f
+        fh = y - (y - f)
+        fl = f - fh
+        x = f * d0
+        e = ((fh * dh - x) + fh * dl + fl * dh) + fl * dl
+        e += f * d1 + 0.0 * d0
+        m0 = x + e
+        t = m0 - x
+        m1 = (x - (m0 - t)) + (e - t)
+        s = n0 + -m0
+        t = s - n0
+        e = (n0 - (s - t)) + (-m0 - t)
+        e += n1 + -m1
+        r0 = s + e
+        t = r0 - s
+        r1 = (s - (r0 - t)) + (e - t)
+        f2 = (r0 + r1) / d0
+        pn0 = f + f2
+        t = pn0 - f
+        pn1 = (f - (pn0 - t)) + (f2 - t)
+
+        # n = add(mul(c, p), mul(a, q))
+        x = c0 * p0
+        e = ((ch * ph - x) + ch * pl + cl * ph) + cl * pl
+        e += c0 * p1 + c1 * p0
+        u0 = x + e
+        t = u0 - x
+        u1 = (x - (u0 - t)) + (e - t)
+        x = a0 * q0
+        e = ((ah * qh - x) + ah * ql + al * qh) + al * ql
+        e += a0 * q1 + a1 * q0
+        v0 = x + e
+        t = v0 - x
+        v1 = (x - (v0 - t)) + (e - t)
+        s = u0 + v0
+        t = s - u0
+        e = (u0 - (s - t)) + (v0 - t)
+        e += u1 + v1
+        n0 = s + e
+        t = n0 - s
+        n1 = (s - (n0 - t)) + (e - t)
+        # q_next = div(n, delta)
+        f = n0 / d0
+        y = splitter * f
+        fh = y - (y - f)
+        fl = f - fh
+        x = f * d0
+        e = ((fh * dh - x) + fh * dl + fl * dh) + fl * dl
+        e += f * d1 + 0.0 * d0
+        m0 = x + e
+        t = m0 - x
+        m1 = (x - (m0 - t)) + (e - t)
+        s = n0 + -m0
+        t = s - n0
+        e = (n0 - (s - t)) + (-m0 - t)
+        e += n1 + -m1
+        r0 = s + e
+        t = r0 - s
+        r1 = (s - (r0 - t)) + (e - t)
+        f2 = (r0 + r1) / d0
+        q0 = f + f2
+        t = q0 - f
+        q1 = (f - (q0 - t)) + (f2 - t)
+
+        p0, p1 = pn0, pn1
+        # to_float(p), to_float(q)
+        points.append(PhasePoint(p0 + p1, q0 + q1))
     return points, energies

@@ -357,6 +357,23 @@ class TestDriftOutput:
         assert calls == [0.0]
 
 
+    @pytest.mark.parametrize(
+        "scheme, calls", [("lobatto", 0), ("midpoint", 31)], ids=["H_d", "H"]
+    )
+    def test_drift_evaluates_only_the_energy_it_reports(self, monkeypatch, scheme, calls):
+        real = lobvi.cli.energy
+        seen = []
+        monkeypatch.setattr(
+            "lobvi.cli.energy", lambda *args: seen.append(args) or real(*args)
+        )
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, _ = call_main(
+                ["drift", "--scheme", scheme, "--periods", "3", "--out", "-"]
+            )
+        assert code == 0
+        assert len(seen) == calls
+
+
 class TestStabilityOutput:
     def test_scan_brackets_the_onset(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -483,6 +500,22 @@ class TestExitCodes:
         code, err = call_main(["stability", "--config", str(path), "--out", "-"])
         assert code == 2
         assert err == f"config error: {path}:2: stability takes no key {flag[0][2:]!r}\n"
+
+    @pytest.mark.parametrize(
+        "args, usage",
+        [(["--bogus", "trajectory"], "usage: lobvi [-h] {"),
+         (["trajectory", "--bogus"], "usage: lobvi trajectory "),
+         (["--bogus", "trajectory", "--also"], "usage: lobvi [-h] {")],
+        ids=["before-subcommand", "after-subcommand", "both-sides"],
+    )
+    def test_stray_flag_uses_usage_of_its_parser(self, args, usage):
+        buf, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
+            code = main([*args, "--out", "-"])
+        assert code == 2
+        assert buf.getvalue() == ""
+        assert err.getvalue().startswith(usage)
+        assert err.getvalue().endswith("error: unrecognized arguments: --bogus\n")
 
     def test_stability_reads_mass_and_omega(self, tmp_path):
         path = tmp_path / "scan.cfg"

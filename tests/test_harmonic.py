@@ -1,4 +1,5 @@
 import math
+import struct
 
 import mpmath as mp
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from lobvi import compensated as dd
 from lobvi.harmonic import (
+    _dd_coefficients,
     EliminationError,
     HarmonicParams,
     center_residual,
@@ -32,6 +35,36 @@ lengths = st.floats(-3.0, 3.0, allow_nan=False)
 masses = st.floats(0.2, 5.0)
 steps = st.floats(0.02, 0.5)
 omegas = st.floats(0.1, 6.0)
+
+
+def reference_fold(point, params, n_steps):
+    """The double-double fold as `compensated` calls, one per operation.
+
+    run_harmonic writes this loop out as float code; it must reproduce
+    these points and discrete energies bit for bit.
+    """
+    delta, a, b, c = _dd_coefficients(params)
+    two_delta = dd.mul(dd.from_float(2.0), delta)
+    p = dd.from_float(point.p)
+    q = dd.from_float(point.q)
+
+    def hd(pv, qv):
+        num = dd.sub(dd.mul(c, dd.mul(pv, pv)), dd.mul(b, dd.mul(qv, qv)))
+        return dd.to_float(dd.div(num, two_delta))
+
+    points = [point]
+    energies = [hd(p, q)]
+    for _ in range(n_steps):
+        pn = dd.div(dd.add(dd.mul(a, p), dd.mul(b, q)), delta)
+        qn = dd.div(dd.add(dd.mul(c, p), dd.mul(a, q)), delta)
+        p, q = pn, qn
+        points.append(PhasePoint(dd.to_float(p), dd.to_float(q)))
+        energies.append(hd(p, q))
+    return points, energies
+
+
+def bits(v):
+    return struct.pack("<d", v)
 
 
 def stable_params(draw_m, draw_h, draw_w):
@@ -374,3 +407,61 @@ class TestTrajectoryStructure:
         assert len(pts) == 8 and len(hds) == 8
         with pytest.raises(ValueError):
             run_harmonic(PhasePoint(0.0, 1.0), TABLE_PARAMS, 0)
+
+
+class TestInlineFold:
+    """run_harmonic is the reference fold written out as float code.
+
+    A changed expansion mostly moves only the low words, which the emitted
+    values round away.  Near the subnormal range (p, q ~ 1e-308 for the
+    state, ~ 1e-154 for H_d) the low words underflow and the change shows,
+    so the draws and the examples reach there too.
+    """
+
+    states = st.one_of(lengths, st.floats(-1e-150, 1e-150))
+
+    @given(
+        m=masses,
+        w=omegas,
+        hw=st.floats(0.001, 3.11),
+        reverse=st.booleans(),
+        p=states,
+        q=states,
+    )
+    @example(m=1.0, w=2.0 * math.pi, hw=0.2 * math.pi, reverse=False, p=0.0, q=math.pi / 2.0)
+    @example(m=2.5, w=3.0, hw=3.11, reverse=True, p=-0.0, q=0.0)
+    @example(m=0.2, w=0.1, hw=0.001, reverse=True, p=-0.0, q=-0.0)
+    @example(m=1.0, w=2.0 * math.pi, hw=2.7835636298836652, reverse=False, p=1e-310, q=-2.2e-308)
+    @example(m=2.5, w=3.0, hw=1.5, reverse=True, p=5.41e-154, q=1.55e-156)
+    def test_bitwise_equal_to_reference(self, m, w, hw, reverse, p, q):
+        h = -hw / w if reverse else hw / w
+        params = HarmonicParams(m=m, omega=w, h=h)
+        start = PhasePoint(p, q)
+        pts, hds = run_harmonic(start, params, 200)
+        ref_pts, ref_hds = reference_fold(start, params, 200)
+        assert len(pts) == len(ref_pts) == 201
+        assert [(bits(pt.p), bits(pt.q)) for pt in pts] == [
+            (bits(pt.p), bits(pt.q)) for pt in ref_pts
+        ]
+        assert [bits(v) for v in hds] == [bits(v) for v in ref_hds]
+
+    def test_loop_makes_no_compensated_calls(self, monkeypatch):
+        calls = {"n": 0}
+
+        def counted(fn):
+            def wrapper(*args):
+                calls["n"] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name, value in list(vars(dd).items()):
+            if callable(value) and getattr(value, "__module__", None) == dd.__name__:
+                monkeypatch.setattr(dd, name, counted(value))
+        per_run = []
+        for n_steps in (10, 1000):
+            calls["n"] = 0
+            run_harmonic(PhasePoint(0.3, 1.0), TABLE_PARAMS, n_steps)
+            per_run.append(calls["n"])
+        # the set-up still builds the coefficients through compensated
+        assert per_run[0] == per_run[1] > 0
