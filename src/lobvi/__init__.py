@@ -58,7 +58,6 @@ from .mechanics import (
 from .midpoint import run_midpoint, step_midpoint
 from .pendulum import (
     NewtonError,
-    StepUnknowns,
     discrete_lagrangian_nl,
     jacobian_dFL,
     newton_step_solve,

@@ -131,19 +131,32 @@ def convergence_table(
     err_H: Sequence[float],
     err_Hd: Optional[Sequence[float]] = None,
 ) -> ConvergenceTable:
-    """Assemble a table from measured errors, estimating all orders."""
-    orders = lambda errs: tuple(
-        estimate_order(a, b) for a, b in zip(errs, errs[1:])
-    )
+    """Assemble a table from measured errors, estimating all orders.
+
+    A degenerate error raises estimate_order's ValueError with `observable`
+    (p, q or H) and `meshes`, the mesh pair of the failed order, set.
+    """
+    meshes = tuple(int(n) for n in meshes)
+
+    def orders(observable, errs):
+        out = []
+        for pair, a, b in zip(zip(meshes, meshes[1:]), errs, errs[1:]):
+            try:
+                out.append(estimate_order(a, b))
+            except ValueError as exc:
+                exc.observable, exc.meshes = observable, pair
+                raise
+        return tuple(out)
+
     return ConvergenceTable(
-        meshes=tuple(int(n) for n in meshes),
+        meshes=meshes,
         err_p=tuple(err_p),
         err_q=tuple(err_q),
         err_H=tuple(err_H),
         err_Hd=None if err_Hd is None else tuple(err_Hd),
-        order_p=orders(tuple(err_p)),
-        order_q=orders(tuple(err_q)),
-        order_H=orders(tuple(err_H)),
+        order_p=orders("p", tuple(err_p)),
+        order_q=orders("q", tuple(err_q)),
+        order_H=orders("H", tuple(err_H)),
     )
 
 
@@ -172,7 +185,9 @@ def energy_drift_series(record: TrajectoryRecord, window: int) -> tuple:
         # last bucket takes everything left so edge roundoff cannot drop it
         t_end = record.times[-1] if i == window else t0 + i * period
         while j < n and record.times[j] <= t_end + 1e-9 * period:
-            running = max(running, abs(series[j] - ref))
+            err = abs(series[j] - ref)
+            # max(running, nan) drops the NaN, but max(nan, err) keeps it
+            running = err if math.isnan(err) else max(running, err)
             j += 1
         out.append((i, running))
     if window < 2:

@@ -325,9 +325,13 @@ def _convergence_lines(config: ExperimentConfig) -> tuple:
             errs[obs].append(linf_error(record, obs))
         if record.discrete_energies is not None:
             errs["H_d"].append(linf_error(record, "H_d"))
-    table = convergence_table(
-        config.meshes, errs["p"], errs["q"], errs["H"], errs["H_d"] or None,
-    )
+    try:
+        table = convergence_table(
+            config.meshes, errs["p"], errs["q"], errs["H"], errs["H_d"] or None,
+        )
+    except ValueError as exc:
+        a, b = exc.meshes
+        raise ConfigError(f"no {exc.observable} order from meshes {a} and {b}: {exc}") from None
     lines = ["meshes,err_p,err_q,err_H,err_Hd,order_p,order_q,order_H"]
     for i, n in enumerate(table.meshes):
         cells = [str(n), _FMT(table.err_p[i]), _FMT(table.err_q[i]),
@@ -378,23 +382,18 @@ def _write_lines(out: str, lines) -> None:
             fh.write(text)
 
 
-def _cannot_write(reason) -> int:
-    print(f"config error: cannot write output: {reason}", file=sys.stderr)
-    return 2
-
-
 def run(config: ExperimentConfig) -> int:
     """Execute one experiment; writes the CSV and a summary line on stderr.
 
-    An output path in a missing directory, or naming a directory, is
-    reported before any simulation runs.
+    Raises ConfigError for an output it cannot write (checked before any
+    simulation where it can be) and for errors too degenerate for an order.
     """
     if config.out != "-":
         folder = os.path.dirname(config.out)
         if folder and not os.path.isdir(folder):
-            return _cannot_write(f"no such directory: {folder!r}")
+            raise ConfigError(f"cannot write output: no such directory: {folder!r}")
         if os.path.isdir(config.out):
-            return _cannot_write(f"is a directory: {config.out!r}")
+            raise ConfigError(f"cannot write output: is a directory: {config.out!r}")
     builder = {
         "trajectory": _trajectory_lines,
         "convergence": _convergence_lines,
@@ -405,7 +404,7 @@ def run(config: ExperimentConfig) -> int:
     try:
         _write_lines(config.out, lines)
     except OSError as exc:
-        return _cannot_write(exc)
+        raise ConfigError(f"cannot write output: {exc}") from None
     dest = "stdout" if config.out == "-" else config.out
     print(f"{config.command}: {summary} -> {dest}", file=sys.stderr)
     return 0
@@ -415,14 +414,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        config = parse_config(argv)
+        return run(parse_config(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return run(config)
     except NewtonError as exc:
         print(f"solver failure: {exc}; no output written", file=sys.stderr)
         return 3

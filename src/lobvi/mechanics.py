@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 
 def _require(name: str, value: float, ok: bool = True, want: str = "") -> None:
@@ -24,16 +24,14 @@ def _require(name: str, value: float, ok: bool = True, want: str = "") -> None:
         raise exc
 
 
-@dataclass(frozen=True)
-class PhasePoint:
+class PhasePoint(NamedTuple):
     """Momentum-state pair at a mesh node."""
 
     p: float
     q: float
 
 
-@dataclass(frozen=True)
-class ElementState:
+class ElementState(NamedTuple):
     """Node values (q_l, q_xi, q_xic, q_r) of one time element.
 
     xi is the first interior Lobatto node, xic its reflection 1 - xi.

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .analysis import map_jacobian_determinant
@@ -29,16 +28,6 @@ from .quadrature import SQRT5, XI
 TOL = 1e-14
 MAX_ITER = 20
 MAX_STEP = 1e6
-
-
-@dataclass(frozen=True)
-class StepUnknowns:
-    """The per-step Newton unknowns, in equation order."""
-
-    q_xi: float
-    q_xic: float
-    p_next: float
-    q_next: float
 
 
 class NewtonError(RuntimeError):
@@ -93,13 +82,13 @@ def discrete_lagrangian_nl(element: ElementState, params: StepParams) -> float:
 
 
 def step_residual(
-    unknowns: StepUnknowns,
+    unknowns: tuple,
     p_j: float,
     q_j: float,
     params: StepParams,
     dv_j: Optional[float] = None,
 ) -> tuple:
-    """Left sides (r1, r2, r3, r4) of the four step equations, in order.
+    """Step-equation left sides (r1, r2, r3, r4) at unknowns (q_xi, q_xic, p_next, q_next).
 
     r1, r2: left minus right of the two interior stationarity equations, zero
     when the interior nodes make the element action stationary between q_j
@@ -111,25 +100,25 @@ def step_residual(
     """
     dV = params.potential.dV
     h, m = params.h, params.m
-    u = unknowns
+    q_xi, q_xic, p_next, q_next = unknowns
     coef = h * h / (30.0 * m)
-    vx = dV(u.q_xi)
-    vc = dV(u.q_xic)
+    vx = dV(q_xi)
+    vc = dV(q_xic)
     v0 = dV(q_j) if dv_j is None else dv_j
-    v1 = dV(u.q_next)
-    r1 = u.q_xi - coef * (vc + 2.0 * vx) - ((1.0 - XI) * q_j + XI * u.q_next)
-    r2 = u.q_xic - coef * (2.0 * vc + vx) - (XI * q_j + (1.0 - XI) * u.q_next)
-    r3 = u.p_next - p_j + h * (v0 + 5.0 * (vx + vc) + v1) / 12.0
+    v1 = dV(q_next)
+    r1 = q_xi - coef * (vc + 2.0 * vx) - ((1.0 - XI) * q_j + XI * q_next)
+    r2 = q_xic - coef * (2.0 * vc + vx) - (XI * q_j + (1.0 - XI) * q_next)
+    r3 = p_next - p_j + h * (v0 + 5.0 * (vx + vc) + v1) / 12.0
     r4 = (
-        u.q_next
+        q_next
         - q_j
         - h * h / (24.0 * m) * (v1 + SQRT5 * (vc - vx) - v0)
-        - h / (2.0 * m) * (u.p_next + p_j)
+        - h / (2.0 * m) * (p_next + p_j)
     )
     return (r1, r2, r3, r4)
 
 
-def jacobian_dFL(unknowns: StepUnknowns, params: StepParams) -> tuple:
+def jacobian_dFL(unknowns: tuple, params: StepParams) -> tuple:
     """Analytic 4x4 Jacobian of the residual in (q_xi, q_xic, p_next, q_next).
 
     Returned as four rows of floats in equation order (internal xi, internal
@@ -140,9 +129,10 @@ def jacobian_dFL(unknowns: StepUnknowns, params: StepParams) -> tuple:
     """
     d2V = params.potential.d2V
     h, m = params.h, params.m
-    vx = d2V(unknowns.q_xi)
-    vc = d2V(unknowns.q_xic)
-    vn = d2V(unknowns.q_next)
+    q_xi, q_xic, _, q_next = unknowns
+    vx = d2V(q_xi)
+    vc = d2V(q_xic)
+    vn = d2V(q_next)
     h2m = h * h / m
     return (
         (1.0 - h2m / 15.0 * vx, -h2m / 30.0 * vc, 0.0, -XI),
@@ -158,7 +148,7 @@ def jacobian_dFL(unknowns: StepUnknowns, params: StepParams) -> tuple:
 
 
 def newton_step_solve(p_j: float, q_j: float, params: StepParams) -> tuple:
-    """Solve one step; returns (StepUnknowns, iterations used).
+    """Solve one step; returns ((q_xi, q_xic, p_next, q_next), iterations used).
 
     Initial guess: interior nodes interpolate linearly between q_j and the
     free-drift prediction, p_next = p_j, q_next = drift.  Exact for V = 0,
@@ -179,7 +169,7 @@ def newton_step_solve(p_j: float, q_j: float, params: StepParams) -> tuple:
 
     res = math.inf
     for used in range(MAX_ITER + 1):
-        u = StepUnknowns(a, b, p, n)
+        u = (a, b, p, n)
         f1, f2, f3, f4 = step_residual(u, p_j, q_j, params, dv_j)
         res = max(abs(f1) / sq, abs(f2) / sq, abs(f3) / sp, abs(f4) / sq)
         if res <= TOL:
@@ -230,9 +220,9 @@ def run_pendulum(point: PhasePoint, params: StepParams, n_steps: int) -> tuple:
     iterations = []
 
     def step(pt: PhasePoint) -> PhasePoint:
-        unknowns, used = newton_step_solve(pt.p, pt.q, params)
+        (_, _, p_next, q_next), used = newton_step_solve(pt.p, pt.q, params)
         iterations.append(used)
-        return PhasePoint(unknowns.p_next, unknowns.q_next)
+        return PhasePoint(p_next, q_next)
 
     return fold(step, point, n_steps), iterations
 

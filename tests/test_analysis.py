@@ -135,6 +135,14 @@ class TestConvergenceTable:
                 err_H=(1.0, 1.0),
             )
 
+    def test_degenerate_error_names_observable_and_meshes(self):
+        good = (64.0, 1.0, 1.0 / 64.0)
+        with pytest.raises(ValueError, match="degenerate error value 0.0") as info:
+            convergence_table(
+                meshes=(10, 20, 40), err_p=good, err_q=good, err_H=(64.0, 1.0, 0.0)
+            )
+        assert (info.value.observable, info.value.meshes) == ("H", (20, 40))
+
     def test_dataclass_validates_lengths(self):
         with pytest.raises(ValueError):
             ConvergenceTable(
@@ -180,6 +188,20 @@ class TestEnergyDriftSeries:
         )
         series, _ = energy_drift_series(rec, window=1)
         assert series == [(1, 0.0)]
+
+    @pytest.mark.parametrize("at", [0, 150], ids=["reference", "mid-run"])
+    def test_nan_energy_reaches_running_max_and_rate(self, at):
+        # one NaN entry, finite again after it: the running max keeps the NaN
+        times = [0.01 * j for j in range(401)]
+        energies = [3.0] * 401
+        energies[at] = math.nan
+        pts = [PhasePoint(0.0, 0.0)] * 401
+        rec = TrajectoryRecord(times=times, points=pts, energies=energies)
+        series, rate = energy_drift_series(rec, window=4)
+        want = [True] * 4 if at == 0 else [False, True, True, True]
+        assert [math.isnan(v) for _, v in series] == want
+        assert [v for _, v in series if not math.isnan(v)] == [0.0] * want.count(False)
+        assert math.isnan(rate)
 
     def test_single_window_rate_is_zero(self):
         rec = make_record()

@@ -373,6 +373,19 @@ class TestDriftOutput:
         assert code == 0
         assert len(seen) == calls
 
+    def test_nan_energy_is_printed_not_dropped(self):
+        # p * p overflows in the fold, so every H_d is NaN
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code, err = call_main(
+                ["drift", "--amplitude", "1e200", "--periods", "3", "--out", "-"]
+            )
+        assert code == 0
+        lines = buf.getvalue().splitlines()
+        assert lines[1] == "# rate: nan per period (ols slope of running max)"
+        assert lines[3:] == ["1,nan", "2,nan", "3,nan"]
+        assert err == "drift: H_d rate nan per period -> stdout\n"
+
 
 class TestStabilityOutput:
     def test_scan_brackets_the_onset(self, tmp_path):
@@ -532,6 +545,27 @@ class TestExitCodes:
         assert code == 2
         assert err == f"config error: {command} takes one mesh count, got 2\n"
         assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize(
+        "args, observable",
+        [(["--amplitude", "1e-300"], "H"), (["--mass", "1e-320"], "q")],
+        ids=["amplitude", "mass"],
+    )
+    def test_degenerate_convergence_is_config_error(self, tmp_path, args, observable):
+        out = tmp_path / "c.csv"
+        for sink in ("-", str(out)):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code, err = call_main(
+                    ["convergence", "--system", "harmonic", *args, "--out", sink]
+                )
+            assert code == 2
+            assert err == (
+                f"config error: no {observable} order from meshes 10 and 20: "
+                "degenerate error value 0.0\n"
+            )
+            assert buf.getvalue() == ""
+        assert not out.exists()
 
     def test_success_returns_zero(self, tmp_path):
         code, _ = call_main(

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 import lobvi.pendulum
 from lobvi.exact import PendulumExact, pendulum_exact
-from lobvi.harmonic import HarmonicParams, internal_dofs, transfer_matrix, step_harmonic
+from lobvi.harmonic import (
+    HarmonicParams,
+    internal_dofs,
+    run_harmonic,
+    step_harmonic,
+    transfer_matrix,
+)
 from lobvi.harmonic import discrete_lagrangian as discrete_lagrangian_harmonic
 from lobvi.mechanics import (
     ElementState,
@@ -19,10 +25,9 @@ from lobvi.mechanics import (
     harmonic_potential,
     pendulum_potential,
 )
-from lobvi.midpoint import step_midpoint
+from lobvi.midpoint import run_midpoint, step_midpoint
 from lobvi.pendulum import (
     NewtonError,
-    StepUnknowns,
     discrete_lagrangian_nl,
     jacobian_dFL,
     newton_step_solve,
@@ -59,7 +64,7 @@ def dense_newton(p_j, q_j, params):
     sq, sp = max(1.0, abs(q_j)), max(1.0, abs(p_j))
     scale = np.array([sq, sq, sp, sq])
     for used in range(lobvi.pendulum.MAX_ITER + 1):
-        u = StepUnknowns(*x.tolist())
+        u = tuple(x.tolist())
         f = np.array(step_residual(u, p_j, q_j, params))
         if np.max(np.abs(f) / scale) <= lobvi.pendulum.TOL:
             return u, used
@@ -104,30 +109,25 @@ class TestInternalEquations:
         hp = HarmonicParams(m=1.0, omega=W, h=0.05)
         q_l, q_r = 0.3, -0.4
         q_xi, q_xic = internal_dofs(q_l, q_r, hp)
-        u = StepUnknowns(q_xi=q_xi, q_xic=q_xic, p_next=0.0, q_next=q_r)
+        u = (q_xi, q_xic, 0.0, q_r)
         r1, r2 = step_residual(u, 0.0, q_l, harmonic_nl_params())[:2]
         assert abs(r1) <= 1e-12 and abs(r2) <= 1e-12
 
     def test_free_motion_linear_interpolant(self):
         params = StepParams(m=1.0, h=0.3, potential=free_potential())
         q_l, q_r = 0.2, 1.4
-        u = StepUnknowns(
-            q_xi=(1 - XI) * q_l + XI * q_r,
-            q_xic=XI * q_l + (1 - XI) * q_r,
-            p_next=0.0,
-            q_next=q_r,
-        )
+        u = ((1 - XI) * q_l + XI * q_r, XI * q_l + (1 - XI) * q_r, 0.0, q_r)
         r1, r2 = step_residual(u, 0.0, q_l, params)[:2]
         assert abs(r1) < 1e-15 and abs(r2) < 1e-15
 
     def test_equilibrium(self):
-        u = StepUnknowns(0.0, 0.0, 0.0, 0.0)
+        u = (0.0, 0.0, 0.0, 0.0)
         assert step_residual(u, 0.0, 0.0, pendulum_params())[:2] == (0.0, 0.0)
 
 
 class TestDynamicsResidual:
     def test_equilibrium(self):
-        u = StepUnknowns(0.0, 0.0, 0.0, 0.0)
+        u = (0.0, 0.0, 0.0, 0.0)
         assert step_residual(u, 0.0, 0.0, pendulum_params())[2:] == (0.0, 0.0)
 
     def test_closed_form_step_has_zero_residual(self):
@@ -135,7 +135,7 @@ class TestDynamicsResidual:
         pt = PhasePoint(0.4, 1.1)
         out = step_harmonic(pt, transfer_matrix(hp))
         q_xi, q_xic = internal_dofs(pt.q, out.q, hp)
-        u = StepUnknowns(q_xi=q_xi, q_xic=q_xic, p_next=out.p, q_next=out.q)
+        u = (q_xi, q_xic, out.p, out.q)
         r3, r4 = step_residual(u, pt.p, pt.q, harmonic_nl_params())[2:]
         assert abs(r3) <= 1e-11 and abs(r4) <= 1e-11
 
@@ -143,13 +143,13 @@ class TestDynamicsResidual:
         params = StepParams(m=2.0, h=0.25, potential=free_potential())
         p0, q0 = 1.2, 0.3
         drift = q0 + 0.25 * p0 / 2.0
-        good = StepUnknowns(0.0, 0.0, p_next=p0, q_next=drift)
+        good = (0.0, 0.0, p0, drift)
         r3, r4 = step_residual(good, p0, q0, params)[2:]
         assert abs(r3) <= 1e-15 and abs(r4) <= 1e-15
-        bad_p = StepUnknowns(0.0, 0.0, p_next=p0 + 1e-3, q_next=drift)
+        bad_p = (0.0, 0.0, p0 + 1e-3, drift)
         r3, r4 = step_residual(bad_p, p0, q0, params)[2:]
         assert abs(r3) > 1e-4
-        bad_q = StepUnknowns(0.0, 0.0, p_next=p0, q_next=drift + 1e-3)
+        bad_q = (0.0, 0.0, p0, drift + 1e-3)
         r3, r4 = step_residual(bad_q, p0, q0, params)[2:]
         assert abs(r4) > 1e-4
 
@@ -157,7 +157,7 @@ class TestDynamicsResidual:
 class TestJacobian:
     def test_zero_curvature_structure(self):
         params = StepParams(m=2.0, h=0.3, potential=free_potential())
-        u = StepUnknowns(0.1, 0.2, 0.3, 0.4)
+        u = (0.1, 0.2, 0.3, 0.4)
         J = jacobian_dFL(u, params)
         want = np.eye(4)
         want[0, 3] = -XI
@@ -171,9 +171,9 @@ class TestJacobian:
         for m in (1.0, 2.0):
             pot = pendulum_potential(m, W)
             params = StepParams(m=m, h=0.03, potential=pot)
-            u = StepUnknowns(q_xi=0.4, q_xic=0.9, p_next=0.2, q_next=1.1)
-            det = np.linalg.det(jacobian_dFL(u, params))
-            v2a, v2b = pot.d2V(u.q_xi), pot.d2V(u.q_xic)
+            q_xi, q_xic = 0.4, 0.9
+            det = np.linalg.det(jacobian_dFL((q_xi, q_xic, 0.2, 1.1), params))
+            v2a, v2b = pot.d2V(q_xi), pot.d2V(q_xic)
             want = (
                 1.0
                 + 0.03 ** 2 / (60.0 * m) * (v2a + v2b)
@@ -187,9 +187,9 @@ class TestJacobian:
         u0 = np.array([0.8, 1.0, 0.45, 1.05])
 
         def residual(vec):
-            return np.array(step_residual(StepUnknowns(*vec), p_j, q_j, params))
+            return np.array(step_residual(tuple(vec), p_j, q_j, params))
 
-        J = np.array(jacobian_dFL(StepUnknowns(*u0), params))
+        J = np.array(jacobian_dFL(tuple(u0), params))
         eps = 1e-6
         for col in range(4):
             step = np.zeros(4)
@@ -202,15 +202,15 @@ class TestNewton:
     def test_equilibrium_converges_immediately(self):
         u, used = newton_step_solve(0.0, 0.0, pendulum_params())
         assert used <= 1
-        assert u.q_xi == 0.0 and u.q_xic == 0.0 and u.p_next == 0.0 and u.q_next == 0.0
+        assert type(u) is tuple and u == (0.0, 0.0, 0.0, 0.0)
 
     @given(p=st.floats(-2.0, 2.0), q=lengths)
     def test_quadratic_potential_reproduces_transfer_matrix(self, p, q):
         hp = HarmonicParams(m=1.0, omega=W, h=0.05)
         want = step_harmonic(PhasePoint(p, q), transfer_matrix(hp))
-        u, _ = newton_step_solve(p, q, harmonic_nl_params())
-        assert abs(u.p_next - want.p) <= 1e-12 * max(1.0, abs(want.p))
-        assert abs(u.q_next - want.q) <= 1e-12 * max(1.0, abs(want.q))
+        (_, _, p_next, q_next), _ = newton_step_solve(p, q, harmonic_nl_params())
+        assert abs(p_next - want.p) <= 1e-12 * max(1.0, abs(want.p))
+        assert abs(q_next - want.q) <= 1e-12 * max(1.0, abs(want.q))
 
     @given(
         p=st.floats(-2.0 * W, 2.0 * W),
@@ -224,8 +224,8 @@ class TestNewton:
         got, used = newton_step_solve(p, q, params)
         assert used == want_used
         sq, sp = max(1.0, abs(q)), max(1.0, abs(p))
-        for name, scale in (("q_xi", sq), ("q_xic", sq), ("p_next", sp), ("q_next", sq)):
-            assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12 * scale
+        for g, w, scale in zip(got, want, (sq, sq, sp, sq)):
+            assert abs(g - w) <= 1e-12 * scale
         residual = step_residual(got, p, q, params)
         scaled = [abs(r) / s for r, s in zip(residual, (sq, sq, sp, sq))]
         assert max(scaled) <= lobvi.pendulum.TOL
@@ -357,6 +357,21 @@ class TestStepAndRun:
         one_period_band = max(drift[: 50 + 1])
         assert max(drift) <= 5.0 * one_period_band
 
+    def test_run_return_shapes(self):
+        """bench/child.py tells a bare points list from a (points, per-step list)
+        pair by isinstance(result, tuple), and a PhasePoint is a tuple too."""
+        start, params = PhasePoint(0.0, 1.0), pendulum_params()
+        pendulum = run_pendulum(start, params, 3)
+        harmonic = run_harmonic(start, HarmonicParams(m=1.0, omega=W, h=0.05), 3)
+        midpoint = run_midpoint(start, params, 3)
+        for pair in (pendulum, harmonic):
+            assert type(pair) is tuple and [type(part) for part in pair] == [list, list]
+        assert type(midpoint) is list
+        assert {type(pt) for pt in pendulum[0] + harmonic[0] + midpoint} == {PhasePoint}
+        sizes = [len(pendulum[0]), len(pendulum[1]), len(harmonic[1]), len(midpoint)]
+        assert sizes == [4, 3, 4, 4]
+        assert all(type(used) is int for used in pendulum[1])
+
     def test_run_reports_failing_step(self, monkeypatch):
         params = pendulum_params()
         monkeypatch.setattr(lobvi.pendulum, "TOL", 1e-15)
@@ -380,14 +395,14 @@ class TestStepAndRun:
     def test_action_stationarity_at_shared_node(self):
         params = pendulum_params()
         pts, _ = run_pendulum(PhasePoint(0.0, math.pi / 2.0), params, 2)
-        u1, _ = newton_step_solve(pts[0].p, pts[0].q, params)
-        u2, _ = newton_step_solve(pts[1].p, pts[1].q, params)
+        (xi1, xic1, _, _), _ = newton_step_solve(pts[0].p, pts[0].q, params)
+        (xi2, xic2, _, _), _ = newton_step_solve(pts[1].p, pts[1].q, params)
         q_j = pts[1].q
         d = 1e-4
 
         def action(v):
-            left = ElementState(pts[0].q, u1.q_xi, u1.q_xic, v)
-            right = ElementState(v, u2.q_xi, u2.q_xic, pts[2].q)
+            left = ElementState(pts[0].q, xi1, xic1, v)
+            right = ElementState(v, xi2, xic2, pts[2].q)
             return discrete_lagrangian_nl(left, params) + discrete_lagrangian_nl(
                 right, params
             )
