@@ -49,6 +49,7 @@ from .mechanics import (
     ElementState,
     PhasePoint,
     PotentialModel,
+    Run,
     StepParams,
     energy,
     free_potential,

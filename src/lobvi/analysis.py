@@ -36,10 +36,6 @@ class TrajectoryRecord:
     def __post_init__(self):
         object.__setattr__(self, "times", tuple(self.times))
         object.__setattr__(self, "points", tuple(self.points))
-        for name in ("exact", "energies", "discrete_energies"):
-            val = getattr(self, name)
-            if val is not None:
-                object.__setattr__(self, name, tuple(val))
         n = len(self.times)
         if n == 0:
             raise ValueError("empty record")
@@ -47,8 +43,10 @@ class TrajectoryRecord:
             raise ValueError("times and points lengths differ")
         for name in ("exact", "energies", "discrete_energies"):
             val = getattr(self, name)
-            if val is not None and len(val) != n:
-                raise ValueError(f"{name} length differs from times")
+            if val is not None:
+                object.__setattr__(self, name, tuple(val))
+                if len(getattr(self, name)) != n:
+                    raise ValueError(f"{name} length differs from times")
         for t0, t1 in zip(self.times, self.times[1:]):
             if not t1 > t0:
                 raise ValueError("times must be strictly increasing")
@@ -71,14 +69,14 @@ def linf_error(record: TrajectoryRecord, observable: str) -> float:
         if record.exact is None:
             raise ValueError(f"observable {observable!r} needs the exact sequence")
         pick = (lambda pt: pt.p) if observable == "p" else (lambda pt: pt.q)
-        return max(
-            abs(pick(a) - pick(b)) for a, b in zip(record.points, record.exact)
-        )
-    series = record.energies if observable == "H" else record.discrete_energies
-    if series is None:
-        raise ValueError(f"observable {observable!r} not present in the record")
-    ref = series[0]
-    return max(abs(v - ref) for v in series)
+        errs = [abs(pick(a) - pick(b)) for a, b in zip(record.points, record.exact)]
+    else:
+        series = record.energies if observable == "H" else record.discrete_energies
+        if series is None:
+            raise ValueError(f"observable {observable!r} not present in the record")
+        errs = [abs(v - series[0]) for v in series]
+    # max() keeps its running value when the next one is NaN
+    return math.nan if any(map(math.isnan, errs)) else max(errs)
 
 
 def estimate_order(err_coarse: float, err_fine: float) -> int:
@@ -165,8 +163,8 @@ def energy_drift_series(record: TrajectoryRecord, window: int) -> tuple:
 
     The record is treated as spanning `window` equal periods.  Returns
     (series, rate) where series holds (period index, running max |E - E0|)
-    pairs and rate is the OLS slope of the series.  The energy is H_d when
-    the record has one, else H.
+    pairs and rate is their OLS slope (the last maximum if that is inf or
+    NaN).  The energy is H_d when the record has one, else H.
     """
     if window < 1:
         raise ValueError("window must cover at least one period")
@@ -192,6 +190,8 @@ def energy_drift_series(record: TrajectoryRecord, window: int) -> tuple:
         out.append((i, running))
     if window < 2:
         rate = 0.0
+    elif not math.isfinite(running):  # an early inf makes fsum raise on -inf + inf
+        rate = running
     else:
         # closed-form OLS slope over the indices 1..window: the centred
         # indices sum to zero, so the mean of the series drops out

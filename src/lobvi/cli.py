@@ -281,25 +281,25 @@ def _simulate(config: ExperimentConfig, n_per_period: int, periods: int) -> Traj
     n = n_per_period * periods
     start = exact_at(0.0)
 
-    step = StepParams(m=m, h=h, potential=potential)
-    discrete = None
+    params = StepParams(m=m, h=h, potential=potential)
     if config.scheme == "midpoint":
-        points = run_midpoint(start, step, n)
+        stepper = run_midpoint
     elif config.system == "pendulum":
-        points, _ = run_pendulum(start, step, n)
+        stepper = run_pendulum
     else:
-        points, discrete = run_harmonic(start, HarmonicParams(m=m, omega=w, h=h), n)
+        stepper, params = run_harmonic, HarmonicParams(m=m, omega=w, h=h)
+    run = stepper(start, params, n)
 
     times = tuple(j * h for j in range(n + 1))
     drift = config.command == "drift"
     return TrajectoryRecord(
         times=times,
-        points=tuple(points),
+        points=run.points,
         # drift reads only the energies, and only H_d where the scheme has it
         exact=None if drift else tuple(exact_at(t) for t in times),
-        energies=None if drift and discrete is not None
-        else tuple(energy(pt, potential, m) for pt in points),
-        discrete_energies=None if discrete is None else tuple(discrete),
+        energies=None if drift and run.discrete_energies is not None
+        else tuple(energy(pt, potential, m) for pt in run.points),
+        discrete_energies=run.discrete_energies,
     )
 
 
@@ -343,10 +343,7 @@ def _convergence_lines(config: ExperimentConfig) -> tuple:
             cells += [str(table.order_p[i - 1]), str(table.order_q[i - 1]),
                       str(table.order_H[i - 1])]
         lines.append(",".join(cells))
-    summary = (
-        f"orders p={table.order_p} q={table.order_q} H={table.order_H}"
-    )
-    return lines, summary
+    return lines, f"orders p={table.order_p} q={table.order_q} H={table.order_H}"
 
 
 def _drift_lines(config: ExperimentConfig) -> tuple:

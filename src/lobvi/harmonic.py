@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from . import compensated as dd
-from .mechanics import ElementState, PhasePoint, _require
+from .mechanics import ElementState, PhasePoint, Run, _require
 from .quadrature import SQRT5, XI
 
 
@@ -279,13 +279,13 @@ def _dd_coefficients(params: HarmonicParams) -> tuple:
     return delta, a, b, c
 
 
-def run_harmonic(point: PhasePoint, params: HarmonicParams, n_steps: int) -> tuple:
+def run_harmonic(point: PhasePoint, params: HarmonicParams, n_steps: int) -> Run:
     """Fold the one-step map n_steps times.
 
-    Returns (points, discrete_energies), both of length n_steps + 1.  The
-    fold runs in double-double arithmetic and rounds once per emitted value,
-    so the discrete-energy column is flat to the last bit over any horizon
-    the tests care about.
+    Returns Run(points, None, discrete_energies), both lists of n_steps + 1
+    values.  The fold runs in double-double arithmetic and rounds once per
+    emitted value, so the discrete-energy column is flat to the last bit
+    over any horizon the tests care about.
 
     The loop is the `compensated` fold written out as float code: each
     double-double operation named in a comment is expanded into its
@@ -473,4 +473,4 @@ def run_harmonic(point: PhasePoint, params: HarmonicParams, n_steps: int) -> tup
         p0, p1 = pn0, pn1
         # to_float(p), to_float(q)
         points.append(PhasePoint(p0 + p1, q0 + q1))
-    return points, energies
+    return Run(points, None, energies)

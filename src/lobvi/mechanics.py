@@ -1,15 +1,15 @@
 """Shared state containers, potential models and the parameter rule.
 
 Small immutable records: a phase point (p, q), the node values of one time
-element, a potential with its first two derivatives, and the parameters of
-one implicit step.  Every parameter record checks its fields with `_require`.
+element, a stepper's run, a potential with its first two derivatives, and
+one implicit step's parameters.  Parameter records check fields by `_require`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 
 def _require(name: str, value: float, ok: bool = True, want: str = "") -> None:
@@ -41,6 +41,14 @@ class ElementState(NamedTuple):
     q_xi: float
     q_xic: float
     q_r: float
+
+
+class Run(NamedTuple):
+    """What every stepper returns; a field the scheme does not have is None."""
+
+    points: list  # the n_steps + 1 phase points
+    iterations: Optional[list]  # solver iterations per step, implicit schemes only
+    discrete_energies: Optional[list]  # H_d at each point, oscillator fold only
 
 
 @dataclass(frozen=True)

@@ -7,16 +7,16 @@ honest to be compared against.
 from __future__ import annotations
 
 from . import pendulum
-from .mechanics import PhasePoint, StepParams
+from .mechanics import PhasePoint, Run, StepParams
 from .pendulum import NewtonError, fold
 
 
-def step_midpoint(point: PhasePoint, params: StepParams) -> PhasePoint:
+def step_midpoint(point: PhasePoint, params: StepParams) -> tuple:
     """One step of (q+ - q)/h = (p + p+)/2m, (p+ - p)/h = -V'((q + q+)/2).
 
-    The state update is solved by scalar Newton; linear potentials converge
-    in one iteration.  It stops, caps and guards by the Lobatto solver's
-    constants, read from `pendulum` at call time.
+    Scalar Newton solves the state update and returns (next point, iterations);
+    linear potentials converge in one iteration.  It stops, caps and guards by
+    the Lobatto solver's constants, read from `pendulum` at call time.
     """
     m, h = params.m, params.h
     dV = params.potential.dV
@@ -30,7 +30,7 @@ def step_midpoint(point: PhasePoint, params: StepParams) -> PhasePoint:
         force = dV(0.5 * (q0 + x))
         g = x - q0 - h / m * p0 + h * h / (2.0 * m) * force
         if abs(g) <= tol:
-            return PhasePoint(p0 - h * force, x)
+            return PhasePoint(p0 - h * force, x), used
         if used == max_iter:
             raise NewtonError("no convergence", residual=abs(g) / scale, iterations=used)
         dx = g / (1.0 + h * h / (4.0 * m) * d2V(0.5 * (q0 + x)))
@@ -39,6 +39,6 @@ def step_midpoint(point: PhasePoint, params: StepParams) -> PhasePoint:
         x -= dx
 
 
-def run_midpoint(point: PhasePoint, params: StepParams, n_steps: int) -> list:
-    """Fold step_midpoint; returns n_steps + 1 phase points."""
+def run_midpoint(point: PhasePoint, params: StepParams, n_steps: int) -> Run:
+    """Fold step_midpoint; returns Run(points, iterations, None)."""
     return fold(lambda pt: step_midpoint(pt, params), point, n_steps)

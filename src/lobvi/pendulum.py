@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from .analysis import map_jacobian_determinant
 from .harmonic import kinetic_form, stability_limit
-from .mechanics import ElementState, PhasePoint, StepParams
+from .mechanics import ElementState, PhasePoint, Run, StepParams
 from .quadrature import SQRT5, XI
 
 # One stopping rule for both implicit schemes: stop once the scaled residual
@@ -54,22 +54,24 @@ class NewtonError(RuntimeError):
         )
 
 
-def fold(step: Callable[[PhasePoint], PhasePoint], point: PhasePoint, n_steps: int) -> list:
-    """Apply a one-step map n_steps times; returns the n_steps + 1 points.
+def fold(step: Callable[[PhasePoint], tuple], point: PhasePoint, n_steps: int) -> Run:
+    """Apply a one-step map n_steps times; returns Run(points, iterations, None).
 
-    A NewtonError raised by step j leaves with its `step` and `n_steps` set.
+    step returns (point, iterations); a NewtonError it raises gets `step` and `n_steps` set.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
     points = [point]
+    iterations = []
     for j in range(n_steps):
         try:
-            point = step(point)
+            point, used = step(point)
         except NewtonError as exc:
             exc.step, exc.n_steps = j + 1, n_steps
             raise
         points.append(point)
-    return points
+        iterations.append(used)
+    return Run(points, iterations, None)
 
 
 def discrete_lagrangian_nl(element: ElementState, params: StepParams) -> float:
@@ -210,24 +212,18 @@ def _warn_if_stiff(point: PhasePoint, params: StepParams) -> None:
         )
 
 
-def run_pendulum(point: PhasePoint, params: StepParams, n_steps: int) -> tuple:
-    """Fold the implicit step n_steps times.
-
-    Returns (points, iterations) with len(points) = n_steps + 1 and one
-    iteration count per step.
-    """
+def run_pendulum(point: PhasePoint, params: StepParams, n_steps: int) -> Run:
+    """Fold the implicit step n_steps times; returns Run(points, iterations, None)."""
     _warn_if_stiff(point, params)
-    iterations = []
 
-    def step(pt: PhasePoint) -> PhasePoint:
+    def step(pt: PhasePoint) -> tuple:
         (_, _, p_next, q_next), used = newton_step_solve(pt.p, pt.q, params)
-        iterations.append(used)
-        return PhasePoint(p_next, q_next)
+        return PhasePoint(p_next, q_next), used
 
-    return fold(step, point, n_steps), iterations
+    return fold(step, point, n_steps)
 
 
 def symplecticity_defect(point: PhasePoint, params: StepParams) -> float:
     """|det J - 1| for the central-difference Jacobian of the one-step map."""
-    det = map_jacobian_determinant(lambda pt: run_pendulum(pt, params, 1)[0][1], point)
+    det = map_jacobian_determinant(lambda pt: run_pendulum(pt, params, 1).points[1], point)
     return abs(det - 1.0)

@@ -71,16 +71,16 @@ def harmonic_record(n, periods=1):
     h = 1.0 / n
     ref = HarmonicExact(amplitude=math.pi / 2.0, omega=W, m=1.0)
     pot = harmonic_potential(1.0, W)
-    pts, hds = run_harmonic(
+    run = run_harmonic(
         harmonic_exact(0.0, ref), HarmonicParams(m=1.0, omega=W, h=h), n * periods
     )
     times = tuple(j * h for j in range(n * periods + 1))
     return TrajectoryRecord(
         times=times,
-        points=pts,
+        points=run.points,
         exact=tuple(harmonic_exact(t, ref) for t in times),
-        energies=tuple(energy(pt, pot, 1.0) for pt in pts),
-        discrete_energies=hds,
+        energies=tuple(energy(pt, pot, 1.0) for pt in run.points),
+        discrete_energies=run.discrete_energies,
     )
 
 
@@ -93,15 +93,15 @@ def pendulum_record(n, periods=1, h=None):
     else:
         steps = int(round(periods * ref.period / h))
     params = StepParams(m=1.0, h=h, potential=pot)
-    pts, iters = run_pendulum(pendulum_exact(0.0, ref), params, steps)
+    run = run_pendulum(pendulum_exact(0.0, ref), params, steps)
     times = tuple(j * h for j in range(steps + 1))
     rec = TrajectoryRecord(
         times=times,
-        points=pts,
+        points=run.points,
         exact=tuple(pendulum_exact(t, ref) for t in times),
-        energies=tuple(energy(pt, pot, 1.0) for pt in pts),
+        energies=tuple(energy(pt, pot, 1.0) for pt in run.points),
     )
-    return rec, iters
+    return rec, run.iterations
 
 
 def test_quadrature_exactness():
@@ -231,7 +231,7 @@ def test_nonlinear_consistency():
     hp = HarmonicParams(m=1.0, omega=W, h=1.0 / n)
     tm = transfer_matrix(hp)
     params = StepParams(m=1.0, h=1.0 / n, potential=harmonic_potential(1.0, W))
-    newton_pts, _ = run_pendulum(PhasePoint(0.0, math.pi / 2.0), params, n)
+    newton_pts = run_pendulum(PhasePoint(0.0, math.pi / 2.0), params, n).points
     worst = 0.0
     linear = PhasePoint(0.0, math.pi / 2.0)
     for j in range(1, n + 1):
@@ -334,7 +334,7 @@ def test_baseline_separation():
         h = 1.0 / n
         pts = run_midpoint(
             PhasePoint(0.0, math.pi / 2.0), StepParams(m=1.0, h=h, potential=pot), n
-        )
+        ).points
         mid_errs.append(
             max(abs(pt.q - harmonic_exact(j * h, ref).q) for j, pt in enumerate(pts))
         )

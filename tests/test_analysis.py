@@ -76,6 +76,21 @@ class TestLinfError:
         rec = make_record()
         assert linf_error(rec, "H") == pytest.approx(0.004)
 
+    @pytest.mark.parametrize("observable", ["p", "H"])
+    def test_mid_run_nan_is_the_result(self, observable):
+        # max() over the errors would keep its running value past the NaN
+        exact = [PhasePoint(1.0, 0.5)] * 5
+        points = list(exact)
+        points[2] = PhasePoint(math.nan, 0.5)
+        rec = TrajectoryRecord(
+            times=[0.1 * j for j in range(5)],
+            points=points,
+            exact=exact,
+            energies=[1.0, 1.0, math.nan, 1.0, 1.0],
+        )
+        assert math.isnan(linf_error(rec, observable))
+        assert linf_error(rec, "q") == 0.0
+
     def test_missing_series_raises(self):
         rec = make_record(with_exact=False)
         with pytest.raises(ValueError):
@@ -203,6 +218,21 @@ class TestEnergyDriftSeries:
         assert [v for _, v in series if not math.isnan(v)] == [0.0] * want.count(False)
         assert math.isnan(rate)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_running_max_is_the_rate(self, bad):
+        # an inf in the first half used to put -inf and +inf into the OLS sum
+        rec = TrajectoryRecord(
+            times=[0.0, 1.0, 2.0, 3.0, 4.0],
+            points=[PhasePoint(0.0, 0.0)] * 5,
+            energies=[1.0, bad, bad, bad, bad],
+        )
+        series, rate = energy_drift_series(rec, window=4)
+        assert [i for i, _ in series] == [1, 2, 3, 4]
+        if math.isnan(bad):
+            assert all(math.isnan(v) for _, v in series) and math.isnan(rate)
+        else:
+            assert [v for _, v in series] == [math.inf] * 4 and rate == math.inf
+
     def test_single_window_rate_is_zero(self):
         rec = make_record()
         _, rate = energy_drift_series(rec, window=1)
@@ -286,9 +316,9 @@ class TestMapJacobianDeterminant:
 class TestRunHarmonicRecordIntegration:
     def test_build_record_from_run(self):
         params = HarmonicParams(m=1.0, omega=W, h=0.1)
-        pts, hds = run_harmonic(PhasePoint(0.0, math.pi / 2.0), params, 10)
+        run = run_harmonic(PhasePoint(0.0, math.pi / 2.0), params, 10)
         times = [0.1 * j for j in range(11)]
         rec = TrajectoryRecord(
-            times=times, points=pts, discrete_energies=hds
+            times=times, points=run.points, discrete_energies=run.discrete_energies
         )
         assert linf_error(rec, "H_d") <= 5e-15

@@ -284,7 +284,7 @@ class TestDiscreteEnergy:
         assert discrete_energy(PhasePoint(0.0, 0.0), transfer_matrix(TABLE_PARAMS)) == 0.0
 
     def test_conserved_over_period_table_setup(self):
-        _, hds = run_harmonic(PhasePoint(0.0, math.pi / 2.0), TABLE_PARAMS, 10)
+        hds = run_harmonic(PhasePoint(0.0, math.pi / 2.0), TABLE_PARAMS, 10).discrete_energies
         assert max(abs(v - hds[0]) for v in hds) <= 5e-15
 
     def test_relative_drift_long_run_plain_arithmetic(self):
@@ -370,7 +370,7 @@ class TestTruncation:
 class TestTrajectoryStructure:
     def test_three_point_recurrence_on_trajectory(self):
         params = TABLE_PARAMS
-        pts, _ = run_harmonic(PhasePoint(0.0, math.pi / 2.0), params, 10)
+        pts = run_harmonic(PhasePoint(0.0, math.pi / 2.0), params, 10).points
         qs = [pt.q for pt in pts]
         for j in range(1, len(qs) - 1):
             res = center_residual(qs[j - 1], qs[j], qs[j + 1], params)
@@ -378,7 +378,7 @@ class TestTrajectoryStructure:
 
     def test_action_stationarity_at_interior_nodes(self):
         params = TABLE_PARAMS
-        pts, _ = run_harmonic(PhasePoint(0.0, math.pi / 2.0), params, 10)
+        pts = run_harmonic(PhasePoint(0.0, math.pi / 2.0), params, 10).points
         qs = [pt.q for pt in pts]
         d = 1e-3
         for j in range(1, len(qs) - 1):
@@ -394,7 +394,7 @@ class TestTrajectoryStructure:
         errs = []
         for n in (10, 20):
             params = HarmonicParams(m=1.0, omega=w, h=1.0 / n)
-            pts, _ = run_harmonic(PhasePoint(0.0, math.pi / 2.0), params, n)
+            pts = run_harmonic(PhasePoint(0.0, math.pi / 2.0), params, n).points
             err = max(
                 abs(pt.q - (math.pi / 2.0) * math.cos(w * j / n))
                 for j, pt in enumerate(pts)
@@ -403,8 +403,8 @@ class TestTrajectoryStructure:
         assert abs(errs[0] / errs[1] / 64.0 - 1.0) < 0.15
 
     def test_run_shapes(self):
-        pts, hds = run_harmonic(PhasePoint(0.0, 1.0), TABLE_PARAMS, 7)
-        assert len(pts) == 8 and len(hds) == 8
+        run = run_harmonic(PhasePoint(0.0, 1.0), TABLE_PARAMS, 7)
+        assert len(run.points) == 8 and len(run.discrete_energies) == 8
         with pytest.raises(ValueError):
             run_harmonic(PhasePoint(0.0, 1.0), TABLE_PARAMS, 0)
 
@@ -437,7 +437,8 @@ class TestInlineFold:
         h = -hw / w if reverse else hw / w
         params = HarmonicParams(m=m, omega=w, h=h)
         start = PhasePoint(p, q)
-        pts, hds = run_harmonic(start, params, 200)
+        run = run_harmonic(start, params, 200)
+        pts, hds = run.points, run.discrete_energies
         ref_pts, ref_hds = reference_fold(start, params, 200)
         assert len(pts) == len(ref_pts) == 201
         assert [(bits(pt.p), bits(pt.q)) for pt in pts] == [

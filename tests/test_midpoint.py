@@ -36,8 +36,8 @@ class TestValidation:
 
 class TestStep:
     def test_equilibrium_fixed_point(self):
-        out = step_midpoint(PhasePoint(0.0, 0.0), pendulum_mid(0.05))
-        assert out.p == 0.0 and out.q == 0.0
+        out, used = step_midpoint(PhasePoint(0.0, 0.0), pendulum_mid(0.05))
+        assert out.p == 0.0 and out.q == 0.0 and used == 0
 
     def test_linear_problem_matches_cayley_rotation(self):
         """For V = k q^2 / 2 the midpoint map is exactly the Cayley transform
@@ -46,7 +46,7 @@ class TestStep:
         params = StepParams(m=m, h=h, potential=harmonic_potential(m, W))
         z = (h * W / 2.0) ** 2
         for p0, q0 in ((1.0, 0.0), (0.0, 1.0), (-0.4, 0.9)):
-            got = step_midpoint(PhasePoint(p0, q0), params)
+            got, _ = step_midpoint(PhasePoint(p0, q0), params)
             k = m * W * W
             p1 = ((1.0 - z) * p0 - h * k * q0) / (1.0 + z)
             q1 = ((1.0 - z) * q0 + h * p0 / m) / (1.0 + z)
@@ -56,7 +56,7 @@ class TestStep:
     def test_map_is_symplectic(self):
         params = pendulum_mid(0.02)
         det = map_jacobian_determinant(
-            lambda pt: step_midpoint(pt, params), PhasePoint(0.3, 1.1)
+            lambda pt: step_midpoint(pt, params)[0], PhasePoint(0.3, 1.1)
         )
         assert abs(det - 1.0) <= 1e-8
 
@@ -74,7 +74,7 @@ class TestOrder:
         errs = []
         for n in (10, 20):
             h = 1.0 / n
-            pts = run_midpoint(PhasePoint(0.0, math.pi / 2.0), harmonic_mid(h), n)
+            pts = run_midpoint(PhasePoint(0.0, math.pi / 2.0), harmonic_mid(h), n).points
             err = max(
                 abs(pt.q - harmonic_exact(j * h, exact).q)
                 for j, pt in enumerate(pts)
@@ -87,7 +87,7 @@ class TestOrder:
         errs = []
         for n in (50, 100):
             h = exact.period / n
-            pts = run_midpoint(PhasePoint(0.0, math.pi / 2.0), pendulum_mid(h), n)
+            pts = run_midpoint(PhasePoint(0.0, math.pi / 2.0), pendulum_mid(h), n).points
             err = max(
                 abs(pt.q - pendulum_exact(j * h, exact).q)
                 for j, pt in enumerate(pts)
@@ -101,8 +101,8 @@ class TestOrder:
         n, h = 10, 0.1
         params = HarmonicParams(m=1.0, omega=W, h=h)
         exact = HarmonicExact(amplitude=math.pi / 2.0, omega=W, m=1.0)
-        mid_pts = run_midpoint(PhasePoint(0.0, math.pi / 2.0), harmonic_mid(h), n)
-        lob_pts, _ = run_harmonic(PhasePoint(0.0, math.pi / 2.0), params, n)
+        mid_pts = run_midpoint(PhasePoint(0.0, math.pi / 2.0), harmonic_mid(h), n).points
+        lob_pts = run_harmonic(PhasePoint(0.0, math.pi / 2.0), params, n).points
         mid_err = max(
             abs(pt.q - harmonic_exact(j * h, exact).q)
             for j, pt in enumerate(mid_pts)
@@ -116,8 +116,22 @@ class TestOrder:
 
 class TestRun:
     def test_shapes(self):
-        pts = run_midpoint(PhasePoint(0.0, 1.0), harmonic_mid(0.1), 7)
-        assert len(pts) == 8
+        run = run_midpoint(PhasePoint(0.0, 1.0), harmonic_mid(0.1), 7)
+        assert len(run.points) == 8 and len(run.iterations) == 7
+
+    # a linear potential converges in one iteration; the pendulum, released
+    # from rest at q0 = 1.5 with 100 steps per period, in two
+    @pytest.mark.parametrize(
+        "params, start, n, used",
+        [
+            (harmonic_mid(0.01), PhasePoint(0.0, 1.5), 300, 1),
+            (pendulum_mid(PendulumExact(q0=1.5, omega=W, m=1.0).period / 100),
+             PhasePoint(0.0, 1.5), 1000, 2),
+        ],
+        ids=["harmonic", "pendulum"],
+    )
+    def test_iterations_per_step(self, params, start, n, used):
+        assert set(run_midpoint(start, params, n).iterations) == {used}
 
     def test_failing_step_is_identified(self, monkeypatch):
         params = StepParams(m=1.0, h=0.3, potential=pendulum_potential(1.0, W))

@@ -19,6 +19,7 @@ from lobvi.mechanics import (
     ElementState,
     PhasePoint,
     PotentialModel,
+    Run,
     StepParams,
     energy,
     free_potential,
@@ -232,7 +233,7 @@ class TestNewton:
 
     def test_iteration_budget_on_table_setup(self):
         params = pendulum_params()
-        _, iters = run_pendulum(PhasePoint(0.0, math.pi / 2.0), params, 50)
+        iters = run_pendulum(PhasePoint(0.0, math.pi / 2.0), params, 50).iterations
         assert max(iters) <= 6
 
     def test_nonconvergence_reports_residual(self, monkeypatch):
@@ -306,22 +307,20 @@ class TestForceEvaluations:
         seen = set()
         for pt in self.starts:
             pot, calls = counting_potential(pendulum_potential(1.0, W))
-            step_midpoint(pt, StepParams(m=1.0, h=h, potential=pot))
-            # one d2V call per Newton iteration
-            used = calls["d2V"]
-            assert calls["dV"] == used + 1
+            _, used = step_midpoint(pt, StepParams(m=1.0, h=h, potential=pot))
+            assert calls == {"dV": used + 1, "d2V": used}
             seen.add(used)
         assert 0 in seen and len(seen) > 1
 
 
 class TestStepAndRun:
     def test_equilibrium_fixed_point(self):
-        out = run_pendulum(PhasePoint(0.0, 0.0), pendulum_params(), 1)[0][1]
+        out = run_pendulum(PhasePoint(0.0, 0.0), pendulum_params(), 1).points[1]
         assert out.p == 0.0 and out.q == 0.0
 
     def test_period_return(self):
         params = pendulum_params()
-        pts, _ = run_pendulum(PhasePoint(0.0, math.pi / 2.0), params, 50)
+        pts = run_pendulum(PhasePoint(0.0, math.pi / 2.0), params, 50).points
         assert type(pts[-1].q) is float and type(pts[-1].p) is float
         assert abs(pts[-1].p - 0.0) <= 5e-9
         h0 = energy(pts[0], params.potential, params.m)
@@ -332,7 +331,7 @@ class TestStepAndRun:
         fwd = pendulum_params()
         back = pendulum_params(h=-fwd.h)
         start = PhasePoint(0.35, 1.1)
-        roundtrip = run_pendulum(run_pendulum(start, fwd, 1)[0][1], back, 1)[0][1]
+        roundtrip = run_pendulum(run_pendulum(start, fwd, 1).points[1], back, 1).points[1]
         assert abs(roundtrip.p - start.p) <= 1e-12
         assert abs(roundtrip.q - start.q) <= 1e-12
 
@@ -340,7 +339,7 @@ class TestStepAndRun:
         errs = []
         for n in (50, 100):
             params = pendulum_params(h=PERIOD / n)
-            pts, _ = run_pendulum(PhasePoint(0.0, math.pi / 2.0), params, n)
+            pts = run_pendulum(PhasePoint(0.0, math.pi / 2.0), params, n).points
             err = max(
                 abs(pt.q - pendulum_exact(params.h * j, EXACT).q)
                 for j, pt in enumerate(pts)
@@ -351,26 +350,34 @@ class TestStepAndRun:
     def test_energy_band_has_no_secular_trend(self):
         params = pendulum_params()
         periods = 20
-        pts, _ = run_pendulum(PhasePoint(0.0, math.pi / 2.0), params, 50 * periods)
+        pts = run_pendulum(PhasePoint(0.0, math.pi / 2.0), params, 50 * periods).points
         h0 = energy(pts[0], params.potential, params.m)
         drift = [abs(energy(pt, params.potential, params.m) - h0) for pt in pts]
         one_period_band = max(drift[: 50 + 1])
         assert max(drift) <= 5.0 * one_period_band
 
     def test_run_return_shapes(self):
-        """bench/child.py tells a bare points list from a (points, per-step list)
-        pair by isinstance(result, tuple), and a PhasePoint is a tuple too."""
+        """Every stepper returns one Run(points, iterations, discrete_energies).
+        bench/child.py reads result[0] as the points and, for run_pendulum,
+        result[1] as the per-step iterations, so the field order is fixed."""
         start, params = PhasePoint(0.0, 1.0), pendulum_params()
-        pendulum = run_pendulum(start, params, 3)
-        harmonic = run_harmonic(start, HarmonicParams(m=1.0, omega=W, h=0.05), 3)
-        midpoint = run_midpoint(start, params, 3)
-        for pair in (pendulum, harmonic):
-            assert type(pair) is tuple and [type(part) for part in pair] == [list, list]
-        assert type(midpoint) is list
-        assert {type(pt) for pt in pendulum[0] + harmonic[0] + midpoint} == {PhasePoint}
-        sizes = [len(pendulum[0]), len(pendulum[1]), len(harmonic[1]), len(midpoint)]
-        assert sizes == [4, 3, 4, 4]
-        assert all(type(used) is int for used in pendulum[1])
+        runs = {
+            "pendulum": run_pendulum(start, params, 3),
+            "harmonic": run_harmonic(start, HarmonicParams(m=1.0, omega=W, h=0.05), 3),
+            "midpoint": run_midpoint(start, params, 3),
+        }
+        assert Run._fields == ("points", "iterations", "discrete_energies")
+        for name, run in runs.items():
+            assert type(run) is Run and isinstance(run, tuple)
+            assert run[0] is run.points and run[1] is run.iterations
+            assert len(run.points) == 4
+            assert {type(pt) for pt in run.points} == {PhasePoint}
+            # iterations only from the implicit schemes, H_d only from the oscillator
+            assert (run.iterations is None) == (name == "harmonic")
+            assert (run.discrete_energies is None) == (name != "harmonic")
+        for name in ("pendulum", "midpoint"):
+            assert [type(used) for used in runs[name].iterations] == [int] * 3
+        assert len(runs["harmonic"].discrete_energies) == 4
 
     def test_run_reports_failing_step(self, monkeypatch):
         params = pendulum_params()
@@ -394,7 +401,7 @@ class TestStepAndRun:
 
     def test_action_stationarity_at_shared_node(self):
         params = pendulum_params()
-        pts, _ = run_pendulum(PhasePoint(0.0, math.pi / 2.0), params, 2)
+        pts = run_pendulum(PhasePoint(0.0, math.pi / 2.0), params, 2).points
         (xi1, xic1, _, _), _ = newton_step_solve(pts[0].p, pts[0].q, params)
         (xi2, xic2, _, _), _ = newton_step_solve(pts[1].p, pts[1].q, params)
         q_j = pts[1].q
@@ -427,7 +434,7 @@ class TestSymplecticityDefect:
         assert symplecticity_defect(pt, params) <= 1e-7
         # the same central difference at half the library's 1e-6 probe
         eps = 5e-7
-        step = lambda x: run_pendulum(x, params, 1)[0][1]
+        step = lambda x: run_pendulum(x, params, 1).points[1]
         pp, pm = step(PhasePoint(pt.p + eps, pt.q)), step(PhasePoint(pt.p - eps, pt.q))
         qp, qm = step(PhasePoint(pt.p, pt.q + eps)), step(PhasePoint(pt.p, pt.q - eps))
         det = ((pp.p - pm.p) * (qp.q - qm.q) - (qp.p - qm.p) * (pp.q - pm.q)) / (2.0 * eps) ** 2
