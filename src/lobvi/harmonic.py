@@ -16,10 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 
-from . import compensated as dd
 from .mechanics import ElementState, PhasePoint, Run, _require
 from .quadrature import SQRT5, XI
+
+# the fold's arithmetic: 34 significant digits (IEEE decimal128); with no
+# traps a NaN or inf input propagates instead of raising InvalidOperation
+_FOLD = Context(prec=34, traps=[])
 
 
 class EliminationError(ValueError):
@@ -243,234 +247,35 @@ def taylor_samples(q: float, v: float, params: HarmonicParams) -> tuple:
     return (q * even - v * odd, q, q * even + v * odd)
 
 
-def _dd_coefficients(params: HarmonicParams) -> tuple:
-    """Transfer-matrix coefficients as double-doubles.
-
-    Same Horner forms as transfer_matrix.  Needed because float64-rounded
-    coefficients break a^2 - b c = delta^2 by an ulp, which shows up as a
-    systematic per-step leak of the discrete energy.
-    """
-    hh = dd.two_prod(params.h, params.h)
-    ww = dd.two_prod(params.omega, params.omega)
-    x = dd.mul(hh, ww)
-    one = dd.from_float(1.0)
-    delta = dd.add(one, dd.mul(x, dd.add(dd.rational(1, 30), dd.mul(x, dd.rational(1, 1800)))))
-    a = dd.add(
-        one,
-        dd.mul(
-            x,
-            dd.add(
-                dd.rational(-7, 15),
-                dd.mul(x, dd.add(dd.rational(23, 900), dd.mul(x, dd.rational(-1, 3600)))),
-            ),
-        ),
-    )
-    poly_b = dd.add(
-        dd.from_float(-43200.0),
-        dd.mul(x, dd.add(dd.from_float(5760.0), dd.mul(x, dd.add(dd.from_float(-144.0), x)))),
-    )
-    scale_b = dd.div(
-        dd.mul(dd.mul(dd.from_float(params.m), dd.from_float(params.h)), ww),
-        dd.from_float(43200.0),
-    )
-    b = dd.mul(scale_b, poly_b)
-    poly_c = dd.add(one, dd.mul(x, dd.add(dd.rational(-2, 15), dd.mul(x, dd.rational(1, 300)))))
-    c = dd.mul(dd.div(dd.from_float(params.h), dd.from_float(params.m)), poly_c)
-    return delta, a, b, c
-
-
 def run_harmonic(point: PhasePoint, params: HarmonicParams, n_steps: int) -> Run:
     """Fold the one-step map n_steps times.
 
     Returns Run(points, None, discrete_energies), both lists of n_steps + 1
-    values.  The fold runs in double-double arithmetic and rounds once per
-    emitted value, so the discrete-energy column is flat to the last bit
+    values.  The fold runs in 34-digit decimal arithmetic and rounds once
+    per emitted value, so the discrete-energy column is flat to the last bit
     over any horizon the tests care about.
 
-    The loop is the `compensated` fold written out as float code: each
-    double-double operation named in a comment is expanded into its
-    two_sum / split / two_prod steps, same operations in the same order, so
-    the bits are those of the calls.  The Dekker splits of the coefficients
-    are taken once, and each new p and q is split once for H_d and the step.
+    The coefficients take the Horner forms of transfer_matrix from the
+    exact decimal values of h, omega and m, and are divided by delta once
+    per run.  Float64-rounded coefficients would break a^2 - b c = delta^2
+    by an ulp, which shows up as a systematic per-step leak of H_d.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
-    (d0, d1), (a0, a1), (b0, b1), (c0, c1) = _dd_coefficients(params)
-    # two_delta = mul(from_float(2.0), delta)
-    g0, g1 = dd.mul(dd.from_float(2.0), (d0, d1))
-    # the splits two_prod takes of each coefficient, once for the whole run
-    dh, dl = dd.split(d0)
-    ah, al = dd.split(a0)
-    bh, bl = dd.split(b0)
-    ch, cl = dd.split(c0)
-    gh, gl = dd.split(g0)
-    splitter = dd.SPLITTER
-    # p, q = from_float(point.p), from_float(point.q)
-    p0, p1, q0, q1 = point.p, 0.0, point.q, 0.0
-
-    points = [point]
-    energies = []
-    for k in range(n_steps + 1):
-        # split(p[0]), split(q[0])
-        y = splitter * p0
-        ph = y - (y - p0)
-        pl = p0 - ph
-        y = splitter * q0
-        qh = y - (y - q0)
-        ql = q0 - qh
-
-        # u = mul(c, mul(p, p))
-        x = p0 * p0
-        e = ((ph * ph - x) + ph * pl + pl * ph) + pl * pl
-        e += p0 * p1 + p1 * p0
-        w0 = x + e
-        t = w0 - x
-        w1 = (x - (w0 - t)) + (e - t)
-        y = splitter * w0
-        wh = y - (y - w0)
-        wl = w0 - wh
-        x = c0 * w0
-        e = ((ch * wh - x) + ch * wl + cl * wh) + cl * wl
-        e += c0 * w1 + c1 * w0
-        u0 = x + e
-        t = u0 - x
-        u1 = (x - (u0 - t)) + (e - t)
-        # v = mul(b, mul(q, q))
-        x = q0 * q0
-        e = ((qh * qh - x) + qh * ql + ql * qh) + ql * ql
-        e += q0 * q1 + q1 * q0
-        w0 = x + e
-        t = w0 - x
-        w1 = (x - (w0 - t)) + (e - t)
-        y = splitter * w0
-        wh = y - (y - w0)
-        wl = w0 - wh
-        x = b0 * w0
-        e = ((bh * wh - x) + bh * wl + bl * wh) + bl * wl
-        e += b0 * w1 + b1 * w0
-        v0 = x + e
-        t = v0 - x
-        v1 = (x - (v0 - t)) + (e - t)
-        # n = sub(u, v), that is add(u, neg(v))
-        s = u0 + -v0
-        t = s - u0
-        e = (u0 - (s - t)) + (-v0 - t)
-        e += u1 + -v1
-        n0 = s + e
-        t = n0 - s
-        n1 = (s - (n0 - t)) + (e - t)
-        # H_d = to_float(div(n, two_delta))
-        f = n0 / g0
-        y = splitter * f
-        fh = y - (y - f)
-        fl = f - fh
-        x = f * g0
-        e = ((fh * gh - x) + fh * gl + fl * gh) + fl * gl
-        e += f * g1 + 0.0 * g0
-        m0 = x + e
-        t = m0 - x
-        m1 = (x - (m0 - t)) + (e - t)
-        s = n0 + -m0
-        t = s - n0
-        e = (n0 - (s - t)) + (-m0 - t)
-        e += n1 + -m1
-        r0 = s + e
-        t = r0 - s
-        r1 = (s - (r0 - t)) + (e - t)
-        f2 = (r0 + r1) / g0
-        s = f + f2
-        t = s - f
-        energies.append(s + ((f - (s - t)) + (f2 - t)))
-        if k == n_steps:
-            break
-
-        # n = add(mul(a, p), mul(b, q))
-        x = a0 * p0
-        e = ((ah * ph - x) + ah * pl + al * ph) + al * pl
-        e += a0 * p1 + a1 * p0
-        u0 = x + e
-        t = u0 - x
-        u1 = (x - (u0 - t)) + (e - t)
-        x = b0 * q0
-        e = ((bh * qh - x) + bh * ql + bl * qh) + bl * ql
-        e += b0 * q1 + b1 * q0
-        v0 = x + e
-        t = v0 - x
-        v1 = (x - (v0 - t)) + (e - t)
-        s = u0 + v0
-        t = s - u0
-        e = (u0 - (s - t)) + (v0 - t)
-        e += u1 + v1
-        n0 = s + e
-        t = n0 - s
-        n1 = (s - (n0 - t)) + (e - t)
-        # p_next = div(n, delta)
-        f = n0 / d0
-        y = splitter * f
-        fh = y - (y - f)
-        fl = f - fh
-        x = f * d0
-        e = ((fh * dh - x) + fh * dl + fl * dh) + fl * dl
-        e += f * d1 + 0.0 * d0
-        m0 = x + e
-        t = m0 - x
-        m1 = (x - (m0 - t)) + (e - t)
-        s = n0 + -m0
-        t = s - n0
-        e = (n0 - (s - t)) + (-m0 - t)
-        e += n1 + -m1
-        r0 = s + e
-        t = r0 - s
-        r1 = (s - (r0 - t)) + (e - t)
-        f2 = (r0 + r1) / d0
-        pn0 = f + f2
-        t = pn0 - f
-        pn1 = (f - (pn0 - t)) + (f2 - t)
-
-        # n = add(mul(c, p), mul(a, q))
-        x = c0 * p0
-        e = ((ch * ph - x) + ch * pl + cl * ph) + cl * pl
-        e += c0 * p1 + c1 * p0
-        u0 = x + e
-        t = u0 - x
-        u1 = (x - (u0 - t)) + (e - t)
-        x = a0 * q0
-        e = ((ah * qh - x) + ah * ql + al * qh) + al * ql
-        e += a0 * q1 + a1 * q0
-        v0 = x + e
-        t = v0 - x
-        v1 = (x - (v0 - t)) + (e - t)
-        s = u0 + v0
-        t = s - u0
-        e = (u0 - (s - t)) + (v0 - t)
-        e += u1 + v1
-        n0 = s + e
-        t = n0 - s
-        n1 = (s - (n0 - t)) + (e - t)
-        # q_next = div(n, delta)
-        f = n0 / d0
-        y = splitter * f
-        fh = y - (y - f)
-        fl = f - fh
-        x = f * d0
-        e = ((fh * dh - x) + fh * dl + fl * dh) + fl * dl
-        e += f * d1 + 0.0 * d0
-        m0 = x + e
-        t = m0 - x
-        m1 = (x - (m0 - t)) + (e - t)
-        s = n0 + -m0
-        t = s - n0
-        e = (n0 - (s - t)) + (-m0 - t)
-        e += n1 + -m1
-        r0 = s + e
-        t = r0 - s
-        r1 = (s - (r0 - t)) + (e - t)
-        f2 = (r0 + r1) / d0
-        q0 = f + f2
-        t = q0 - f
-        q1 = (f - (q0 - t)) + (f2 - t)
-
-        p0, p1 = pn0, pn1
-        # to_float(p), to_float(q)
-        points.append(PhasePoint(p0 + p1, q0 + q1))
+    with localcontext(_FOLD):
+        m, h, omega = Decimal(params.m), Decimal(params.h), Decimal(params.omega)
+        z = h * omega
+        x = z * z
+        delta = 1 + x * (Decimal(1) / 30 + x * (Decimal(1) / 1800))
+        a = 1 + x * (Decimal(-7) / 15 + x * (Decimal(23) / 900 + x * (Decimal(-1) / 3600)))
+        b = m * h * omega * omega * (-43200 + x * (5760 + x * (-144 + x))) / 43200
+        c = h / m * (1 + x * (Decimal(-2) / 15 + x * (Decimal(1) / 300)))
+        a, b, c = a / delta, b / delta, c / delta
+        p, q = Decimal(point.p), Decimal(point.q)
+        points = [point]
+        energies = [float((c * p * p - b * q * q) / 2)]
+        for _ in range(n_steps):
+            p, q = a * p + b * q, c * p + a * q
+            points.append(PhasePoint(float(p), float(q)))
+            energies.append(float((c * p * p - b * q * q) / 2))
     return Run(points, None, energies)

@@ -1,4 +1,5 @@
-"""Independent oracles: RK4 for the exact references, Lobatto IIIA-IIIB for the step.
+"""Independent oracles: RK4 for the exact references, Lobatto IIIA-IIIB for
+the step, and the oscillator fold in double-double and in 50-digit arithmetic.
 
 A classical fourth-order one-step method that shares nothing with the
 variational schemes: no element structure, no implicit solve, no elliptic
@@ -10,10 +11,16 @@ Acta Numerica 2001, section 2.6; Hairer, Lubich & Wanner, Geometric
 Numerical Integration, section VI.6).  `prk_step` solves that method's
 stage equations by fixed-point iteration, with no element, residual or
 Jacobian of lobvi's, so the tests can check the Newton step against it.
+For the oscillator the stage equations are linear, and `lobatto_phi`
+solves them directly for the one-step matrix.
 """
 
 import math
 
+import mpmath as mp
+import numpy as np
+
+from lobvi import compensated as dd
 from lobvi.mechanics import PhasePoint, PotentialModel
 
 _S5 = math.sqrt(5.0)
@@ -96,3 +103,119 @@ def prk_step(
     p_next = p0 - h * sum(b * f for b, f in zip(LOBATTO_B, forces))
     q_next = q0 + h / m * sum(b * v for b, v in zip(LOBATTO_B, P))
     return Q, PhasePoint(p_next, q_next)
+
+
+def lobatto_phi(hw: float) -> np.ndarray:
+    """One-step matrix on (p, q) of Lobatto IIIA-IIIB for the oscillator.
+
+    Taken at m = omega = 1, so h = hw: the map depends on h omega alone
+    once p is measured in units of m omega.  With q' = p and p' = -q the
+    stage equations Q = q0 + h A P and P = p0 - h Abar Q are linear;
+    solving them for the unit starts (p0, q0) = (1, 0) and (0, 1) gives the
+    two columns.  prk_step's fixed-point iteration stops converging near
+    h omega = 3.1, a direct solve does not.
+    """
+    eye = np.eye(4)
+    system = np.block(
+        [[eye, -hw * np.array(LOBATTO_IIIA)], [hw * np.array(LOBATTO_IIIB), eye]]
+    )
+    # one column per start: q0 on the four Q equations, p0 on the four P ones
+    starts = np.repeat([[0.0, 1.0], [1.0, 0.0]], 4, axis=0)
+    stages = np.linalg.solve(system, starts)
+    b = np.array(LOBATTO_B)
+    return np.eye(2) + hw * np.vstack((-b @ stages[:4], b @ stages[4:]))
+
+
+def _dd_coefficients(params) -> tuple:
+    """Transfer-matrix coefficients (delta, a, b, c) as double-doubles.
+
+    Same Horner forms as transfer_matrix.
+    """
+    hh = dd.two_prod(params.h, params.h)
+    ww = dd.two_prod(params.omega, params.omega)
+    x = dd.mul(hh, ww)
+    one = dd.from_float(1.0)
+    delta = dd.add(one, dd.mul(x, dd.add(dd.rational(1, 30), dd.mul(x, dd.rational(1, 1800)))))
+    a = dd.add(
+        one,
+        dd.mul(
+            x,
+            dd.add(
+                dd.rational(-7, 15),
+                dd.mul(x, dd.add(dd.rational(23, 900), dd.mul(x, dd.rational(-1, 3600)))),
+            ),
+        ),
+    )
+    poly_b = dd.add(
+        dd.from_float(-43200.0),
+        dd.mul(x, dd.add(dd.from_float(5760.0), dd.mul(x, dd.add(dd.from_float(-144.0), x)))),
+    )
+    scale_b = dd.div(
+        dd.mul(dd.mul(dd.from_float(params.m), dd.from_float(params.h)), ww),
+        dd.from_float(43200.0),
+    )
+    b = dd.mul(scale_b, poly_b)
+    poly_c = dd.add(one, dd.mul(x, dd.add(dd.rational(-2, 15), dd.mul(x, dd.rational(1, 300)))))
+    c = dd.mul(dd.div(dd.from_float(params.h), dd.from_float(params.m)), poly_c)
+    return delta, a, b, c
+
+
+def reference_fold(point: PhasePoint, params, n_steps: int) -> tuple:
+    """The oscillator fold in double-double, as `compensated` calls.
+
+    Returns (points, discrete energies), n_steps + 1 of each, every value
+    rounded once from its double-double.  The low words underflow for
+    states near 1e-308 or H_d near 1e-154, and SPLITTER * x overflows for
+    |x| above about 1e300, so it is a reference for normal-range inputs
+    only.
+    """
+    delta, a, b, c = _dd_coefficients(params)
+    two_delta = dd.mul(dd.from_float(2.0), delta)
+    p = dd.from_float(point.p)
+    q = dd.from_float(point.q)
+
+    def hd(pv, qv):
+        num = dd.sub(dd.mul(c, dd.mul(pv, pv)), dd.mul(b, dd.mul(qv, qv)))
+        return dd.to_float(dd.div(num, two_delta))
+
+    points = [point]
+    energies = [hd(p, q)]
+    for _ in range(n_steps):
+        pn = dd.div(dd.add(dd.mul(a, p), dd.mul(b, q)), delta)
+        qn = dd.div(dd.add(dd.mul(c, p), dd.mul(a, q)), delta)
+        p, q = pn, qn
+        points.append(PhasePoint(dd.to_float(p), dd.to_float(q)))
+        energies.append(hd(p, q))
+    return points, energies
+
+
+def exact_fold(point: PhasePoint, params, n_steps: int) -> tuple:
+    """The oscillator fold in mpmath at 50 significant digits.
+
+    The Horner forms of transfer_matrix on the exact values of the float
+    inputs.  Returns (points, discrete energies) as lists of n_steps + 1
+    mpf values, (p, q) pairs for the points, not rounded to float.
+    """
+    with mp.workdps(50):
+        m, h, w = mp.mpf(params.m), mp.mpf(params.h), mp.mpf(params.omega)
+        x = (h * w) ** 2
+        delta = 1 + x * (mp.mpf(1) / 30 + x * (mp.mpf(1) / 1800))
+        a = 1 + x * (mp.mpf(-7) / 15 + x * (mp.mpf(23) / 900 + x * (mp.mpf(-1) / 3600)))
+        b = m * h * w * w * (-43200 + x * (5760 + x * (-144 + x))) / 43200
+        c = h / m * (1 + x * (mp.mpf(-2) / 15 + x * (mp.mpf(1) / 300)))
+        a, b, c = a / delta, b / delta, c / delta
+        p, q = mp.mpf(point.p), mp.mpf(point.q)
+        points = [(p, q)]
+        energies = [(c * p * p - b * q * q) / 2]
+        for _ in range(n_steps):
+            p, q = a * p + b * q, c * p + a * q
+            points.append((p, q))
+            energies.append((c * p * p - b * q * q) / 2)
+    return points, energies
+
+
+def nearest_float(v) -> float:
+    """The float nearest to the mpf v, rounded once, subnormals included."""
+    man, exp = v.man_exp  # |v| = man * 2**exp
+    r = float(man << exp) if exp >= 0 else man / (1 << -exp)
+    return -r if v < 0 else r

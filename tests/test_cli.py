@@ -546,12 +546,12 @@ class TestExitCodes:
         assert err == f"config error: {command} takes one mesh count, got 2\n"
         assert buf.getvalue() == ""
 
-    # with --mass 1e-320 the run turns NaN after its first node, so the p
-    # errors are NaN, not the finite values a NaN-dropping max would leave
+    # at --amplitude 1e301 the points stay finite, but H and its exact value
+    # both overflow to inf, so the H errors are inf - inf = NaN
     @pytest.mark.parametrize(
         "args, observable, value",
-        [(["--amplitude", "1e-300"], "H", "0.0"), (["--mass", "1e-320"], "p", "nan")],
-        ids=["amplitude", "mass"],
+        [(["--amplitude", "1e-300"], "H", "0.0"), (["--amplitude", "1e301"], "H", "nan")],
+        ids=["amplitude", "huge-amplitude"],
     )
     def test_degenerate_convergence_is_config_error(self, tmp_path, args, observable, value):
         out = tmp_path / "c.csv"

@@ -8,8 +8,8 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from lobvi import compensated as dd
+from lobvi.exact import HarmonicExact, harmonic_exact
 from lobvi.harmonic import (
-    _dd_coefficients,
     EliminationError,
     HarmonicParams,
     center_residual,
@@ -28,6 +28,7 @@ from lobvi.harmonic import (
 )
 from lobvi.mechanics import ElementState, PhasePoint, harmonic_potential
 from lobvi.quadrature import XI, integrate_unit, interpolate, stiffness_matrix
+from oracle import exact_fold, nearest_float, reference_fold
 
 TABLE_PARAMS = HarmonicParams(m=1.0, omega=2.0 * math.pi, h=0.1)
 
@@ -35,32 +36,6 @@ lengths = st.floats(-3.0, 3.0, allow_nan=False)
 masses = st.floats(0.2, 5.0)
 steps = st.floats(0.02, 0.5)
 omegas = st.floats(0.1, 6.0)
-
-
-def reference_fold(point, params, n_steps):
-    """The double-double fold as `compensated` calls, one per operation.
-
-    run_harmonic writes this loop out as float code; it must reproduce
-    these points and discrete energies bit for bit.
-    """
-    delta, a, b, c = _dd_coefficients(params)
-    two_delta = dd.mul(dd.from_float(2.0), delta)
-    p = dd.from_float(point.p)
-    q = dd.from_float(point.q)
-
-    def hd(pv, qv):
-        num = dd.sub(dd.mul(c, dd.mul(pv, pv)), dd.mul(b, dd.mul(qv, qv)))
-        return dd.to_float(dd.div(num, two_delta))
-
-    points = [point]
-    energies = [hd(p, q)]
-    for _ in range(n_steps):
-        pn = dd.div(dd.add(dd.mul(a, p), dd.mul(b, q)), delta)
-        qn = dd.div(dd.add(dd.mul(c, p), dd.mul(a, q)), delta)
-        p, q = pn, qn
-        points.append(PhasePoint(dd.to_float(p), dd.to_float(q)))
-        energies.append(hd(p, q))
-    return points, energies
 
 
 def bits(v):
@@ -409,13 +384,16 @@ class TestTrajectoryStructure:
             run_harmonic(PhasePoint(0.0, 1.0), TABLE_PARAMS, 0)
 
 
-class TestInlineFold:
-    """run_harmonic is the reference fold written out as float code.
+class TestFold:
+    """run_harmonic against the oscillator fold in 50-digit arithmetic.
 
-    A changed expansion mostly moves only the low words, which the emitted
-    values round away.  Near the subnormal range (p, q ~ 1e-308 for the
-    state, ~ 1e-154 for H_d) the low words underflow and the change shows,
-    so the draws and the examples reach there too.
+    The fold carries 34 digits, so H_d, a sum of two terms of one sign,
+    rounds to the float nearest the 50-digit value.  A point's absolute
+    error grows by about 1e-34 of the orbit's size per step, which is more
+    than half an ulp of a component that passes close to zero.  The draws
+    and examples reach where the double-double fold's low words underflow
+    (p, q near 1e-308, or near 1e-154 for H_d), so that fold is no oracle
+    here.
     """
 
     states = st.one_of(lengths, st.floats(-1e-150, 1e-150))
@@ -433,18 +411,52 @@ class TestInlineFold:
     @example(m=0.2, w=0.1, hw=0.001, reverse=True, p=-0.0, q=-0.0)
     @example(m=1.0, w=2.0 * math.pi, hw=2.7835636298836652, reverse=False, p=1e-310, q=-2.2e-308)
     @example(m=2.5, w=3.0, hw=1.5, reverse=True, p=5.41e-154, q=1.55e-156)
-    def test_bitwise_equal_to_reference(self, m, w, hw, reverse, p, q):
+    def test_matches_exact_fold(self, m, w, hw, reverse, p, q):
         h = -hw / w if reverse else hw / w
         params = HarmonicParams(m=m, omega=w, h=h)
         start = PhasePoint(p, q)
         run = run_harmonic(start, params, 200)
-        pts, hds = run.points, run.discrete_energies
-        ref_pts, ref_hds = reference_fold(start, params, 200)
-        assert len(pts) == len(ref_pts) == 201
-        assert [(bits(pt.p), bits(pt.q)) for pt in pts] == [
-            (bits(pt.p), bits(pt.q)) for pt in ref_pts
-        ]
-        assert [bits(v) for v in hds] == [bits(v) for v in ref_hds]
+        ref_pts, ref_hds = exact_fold(start, params, 200)
+        assert len(run.points) == len(ref_pts) == 201
+        # == rather than bits: mpmath has no signed zero
+        assert run.discrete_energies == [nearest_float(v) for v in ref_hds]
+        with mp.workdps(60):
+            for k in range(2):
+                size = max(abs(ref[k]) for ref in ref_pts)
+                for pt, ref in zip(run.points, ref_pts):
+                    err = abs(mp.mpf(pt[k]) - ref[k])
+                    assert err <= mp.mpf(math.ulp(pt[k])) / 2 + 1e-30 * size
+
+    def test_bitwise_equal_to_double_double_fold_on_cli_inputs(self):
+        """Table 1's meshes and drift over the benchmark's amplitudes.
+
+        A 28-digit fold already moves a point next to a zero crossing of
+        one of these runs (N = 40 at amplitude 1.2, for one).
+        """
+        w = 2.0 * math.pi
+        amplitudes = [math.pi / 2.0] + [round(1.2 + 0.02 * k, 2) for k in range(36)]
+        cases = [(amp, n, 1) for amp in amplitudes for n in (10, 20, 40)]
+        cases += [(amp, 10, 100) for amp in (1.2, 1.5, 1.9)]
+        for amplitude, n, periods in cases:
+            start = harmonic_exact(0.0, HarmonicExact(amplitude=amplitude, omega=w, m=1.0))
+            params = HarmonicParams(m=1.0, omega=w, h=(2.0 * math.pi / w) / n)
+            run = run_harmonic(start, params, n * periods)
+            ref_pts, ref_hds = reference_fold(start, params, n * periods)
+            assert [(bits(pt.p), bits(pt.q)) for pt in run.points] == [
+                (bits(pt.p), bits(pt.q)) for pt in ref_pts
+            ]
+            assert [bits(v) for v in run.discrete_energies] == [bits(v) for v in ref_hds]
+
+    def test_huge_step_tiny_frequency_stays_finite(self):
+        # three nodes per period at omega = 1e-300: h omega = 2 pi / 3, but
+        # h alone is 2e300, past what a Dekker split of h or p can take
+        w = 1e-300
+        params = HarmonicParams(m=1.0, omega=w, h=(2.0 * math.pi / w) / 3)
+        run = run_harmonic(PhasePoint(0.0, math.pi / 2.0), params, 3)
+        assert all(math.isfinite(v) for pt in run.points for v in pt)
+        assert abs(run.points[-1].q - math.pi / 2.0) < 1e-3
+        hds = run.discrete_energies
+        assert hds[0] > 0.0 and hds == [hds[0]] * 4
 
     def test_loop_makes_no_compensated_calls(self, monkeypatch):
         calls = {"n": 0}
@@ -459,10 +471,6 @@ class TestInlineFold:
         for name, value in list(vars(dd).items()):
             if callable(value) and getattr(value, "__module__", None) == dd.__name__:
                 monkeypatch.setattr(dd, name, counted(value))
-        per_run = []
         for n_steps in (10, 1000):
-            calls["n"] = 0
             run_harmonic(PhasePoint(0.3, 1.0), TABLE_PARAMS, n_steps)
-            per_run.append(calls["n"])
-        # the set-up still builds the coefficients through compensated
-        assert per_run[0] == per_run[1] > 0
+        assert calls["n"] == 0

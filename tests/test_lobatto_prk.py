@@ -7,14 +7,15 @@ stages for the pendulum, and the closed-form map for the oscillator.
 
 import math
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 import lobvi.pendulum
-from lobvi.harmonic import HarmonicParams, step_harmonic, transfer_matrix
+from lobvi.harmonic import HarmonicParams, stability_limit, step_harmonic, transfer_matrix
 from lobvi.mechanics import PhasePoint, StepParams, harmonic_potential, pendulum_potential
 from lobvi.pendulum import newton_step_solve
-from oracle import LOBATTO_B, LOBATTO_C, LOBATTO_IIIA, LOBATTO_IIIB, prk_step
+from oracle import LOBATTO_B, LOBATTO_C, LOBATTO_IIIA, LOBATTO_IIIB, lobatto_phi, prk_step
 
 W = 2.0 * math.pi
 EPS = 2.0 ** -52
@@ -86,3 +87,18 @@ class TestOscillatorStep:
         _, got = prk_step(LOBATTO_IIIA, LOBATTO_IIIB, harmonic_potential(m, W), PhasePoint(p, q), h, m)
         scale = max(1.0, abs(p), abs(q), abs(want.p), abs(want.q))
         assert max(abs(got.p - want.p), abs(got.q - want.q)) <= 8.0 * EPS * scale
+
+    def test_stability_function_is_the_tableaus(self):
+        # the float solve of the stage equations is itself up to 9e-16 off
+        # the exact map, and transfer_matrix up to 5e-16
+        for hw in np.linspace(0.05, 3.12, 308):
+            want = np.array(transfer_matrix(HarmonicParams(m=1.0, omega=1.0, h=hw)).phi)
+            assert np.max(np.abs(lobatto_phi(hw) - want)) <= 2e-15
+
+    def test_stability_limit_from_the_tableau(self):
+        # stable while the half trace of the one-step map stays above -1
+        def half_trace(hw):
+            return np.trace(lobatto_phi(hw)) / 2.0
+
+        assert half_trace(3.112) > -1.0 > half_trace(3.113)
+        assert 3.112 < stability_limit() < 3.113
