@@ -10,6 +10,7 @@ maxima (the fit choice is echoed in the CLI output metadata).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -80,9 +81,12 @@ def linf_error(record: TrajectoryRecord, observable: str) -> float:
 
 
 def estimate_order(err_coarse: float, err_fine: float) -> int:
-    """Closest integer to log2 of the error ratio between meshes N and 2N."""
+    """Closest integer to log2 of the error ratio between meshes N and 2N.
+
+    An error that is zero, subnormal or not finite has no ratio to read.
+    """
     for e in (err_coarse, err_fine):
-        if not (isinstance(e, (int, float)) and math.isfinite(e) and e > 0.0):
+        if not (isinstance(e, (int, float)) and math.isfinite(e) and e >= sys.float_info.min):
             raise ValueError(f"degenerate error value {e!r}")
     return round(math.log2(err_coarse / err_fine))
 
@@ -132,7 +136,9 @@ def convergence_table(
     """Assemble a table from measured errors, estimating all orders.
 
     A degenerate error raises estimate_order's ValueError with `observable`
-    (p, q or H) and `meshes`, the mesh pair of the failed order, set.
+    (p, q or H) and `meshes`, the mesh pair of the failed order, set.  H goes
+    first: at a tiny amplitude its error is exactly 0, which names the cause
+    more plainly than the subnormal p or q errors beside it.
     """
     meshes = tuple(int(n) for n in meshes)
 
@@ -146,6 +152,7 @@ def convergence_table(
                 raise
         return tuple(out)
 
+    order_H = orders("H", tuple(err_H))
     return ConvergenceTable(
         meshes=meshes,
         err_p=tuple(err_p),
@@ -154,7 +161,7 @@ def convergence_table(
         err_Hd=None if err_Hd is None else tuple(err_Hd),
         order_p=orders("p", tuple(err_p)),
         order_q=orders("q", tuple(err_q)),
-        order_H=orders("H", tuple(err_H)),
+        order_H=order_H,
     )
 
 

@@ -57,34 +57,6 @@ def complete_elliptic_K(k: float) -> float:
     return math.pi / (2.0 * a)
 
 
-def _sncndn(u: float, k: float) -> tuple:
-    """Jacobi sn, cn, dn at argument u, modulus k in [0, 1).
-
-    Descending Landen: run the AGM, seed the amplitude at the smallest
-    modulus, unwind phi_{n-1} = (phi_n + asin((c_n/a_n) sin phi_n)) / 2.
-    dn comes from the Pythagorean identity, which keeps it positive and
-    accurate near u = K where the phi recursion loses relative accuracy.
-    """
-    a = 1.0
-    b = math.sqrt((1.0 - k) * (1.0 + k))
-    c = k
-    avals = [a]
-    cvals = [c]
-    while abs(c) > 4.0 * _EPS * a and len(avals) < 32:
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-        avals.append(a)
-        cvals.append(c)
-    n = len(avals) - 1
-    phi = (2.0 ** n) * avals[n] * u
-    for i in range(n, 0, -1):
-        s = cvals[i] / avals[i] * math.sin(phi)
-        phi = 0.5 * (phi + math.asin(min(1.0, max(-1.0, s))))
-    sn = math.sin(phi)
-    cn = math.cos(phi)
-    dn = math.sqrt((1.0 - k * sn) * (1.0 + k * sn))
-    return sn, cn, dn
-
-
 @dataclass(frozen=True)
 class PendulumExact:
     """Release from rest: q(0) = q0 in (0, pi), p(0) = 0."""
@@ -95,6 +67,7 @@ class PendulumExact:
 
     def __post_init__(self):
         _require("q0", self.q0, 0.0 < self.q0 < math.pi, "in (0, pi)")
+        _require("q0", self.q0, self.modulus < 1.0, "far enough below pi that sin(q0/2) < 1")
         _require("omega", self.omega, self.omega > 0.0, "positive")
         _require("m", self.m, self.m > 0.0, "positive")
 
@@ -111,15 +84,42 @@ class PendulumExact:
     def period(self) -> float:
         return 4.0 * self.elliptic_K / self.omega
 
+    @cached_property
+    def landen(self) -> tuple:
+        """(k, k', 4K, 2^n a_n, (c_n/a_n, ..., c_1/a_1)), computed once per record.
+
+        The descending Landen sequence of the modulus: run the AGM until c_n
+        is a few ulp of a_n, and keep the ratios in unwinding order.
+        """
+        k = self.modulus
+        a = 1.0
+        b = math.sqrt((1.0 - k) * (1.0 + k))
+        c = k
+        ratios = []
+        while abs(c) > 4.0 * _EPS * a and len(ratios) < 31:
+            a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+            ratios.append(c / a)
+        scale = (2.0 ** len(ratios)) * a
+        return k, math.cos(0.5 * self.q0), 4.0 * self.elliptic_K, scale, tuple(reversed(ratios))
+
 
 def pendulum_exact(t: float, params: PendulumExact) -> PhasePoint:
-    k = params.modulus
-    kp = math.cos(0.5 * params.q0)
-    bigk = params.elliptic_K
+    """Jacobi sn, cn, dn at u = omega t by unwinding the record's Landen table.
+
+    Seed the amplitude at the smallest modulus and unwind
+    phi_{i-1} = (phi_i + asin((c_i/a_i) sin phi_i)) / 2.  dn comes from the
+    Pythagorean identity, which keeps it positive and accurate near u = K
+    where the phi recursion loses relative accuracy.
+    """
+    k, kp, four_k, scale, ratios = params.landen
     # reduce by the full period 4K so long horizons keep full accuracy
-    u = math.fmod(params.omega * t, 4.0 * bigk)
-    sn, cn, dn = _sncndn(u, k)
-    s = k * cn / dn
-    q = 2.0 * math.asin(min(1.0, max(-1.0, s)))
+    phi = scale * math.fmod(params.omega * t, four_k)
+    for r in ratios:
+        # |c_i| <= a_i rounds to |r| <= 1, so |r sin phi| <= 1 needs no clamp
+        phi = 0.5 * (phi + math.asin(r * math.sin(phi)))
+    sn = math.sin(phi)
+    cn = math.cos(phi)
+    dn = math.sqrt((1.0 - k * sn) * (1.0 + k * sn))
+    q = 2.0 * math.asin(min(1.0, max(-1.0, k * cn / dn)))
     p = -2.0 * params.m * k * kp * params.omega * sn / dn
     return PhasePoint(p, q)

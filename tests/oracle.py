@@ -1,5 +1,7 @@
 """Independent oracles: RK4 for the exact references, Lobatto IIIA-IIIB for
 the step, and the oscillator fold in double-double and in 50-digit arithmetic.
+`pendulum_landen` rebuilds the pendulum reference's Landen descent at every
+call, so the tests can check the record's cached table against it.
 
 A classical fourth-order one-step method that shares nothing with the
 variational schemes: no element structure, no implicit solve, no elliptic
@@ -16,11 +18,13 @@ solves them directly for the one-step matrix.
 """
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
 
 from lobvi import compensated as dd
+from lobvi.exact import complete_elliptic_K
 from lobvi.mechanics import PhasePoint, PotentialModel
 
 _S5 = math.sqrt(5.0)
@@ -219,3 +223,40 @@ def nearest_float(v) -> float:
     man, exp = v.man_exp  # |v| = man * 2**exp
     r = float(man << exp) if exp >= 0 else man / (1 << -exp)
     return -r if v < 0 else r
+
+
+def _sncndn(u: float, k: float) -> tuple:
+    """Jacobi sn, cn, dn at argument u, modulus k in [0, 1), from scratch.
+
+    Descending Landen: run the AGM, seed the amplitude at the smallest
+    modulus, unwind phi_{n-1} = (phi_n + asin((c_n/a_n) sin phi_n)) / 2.
+    """
+    a = 1.0
+    b = math.sqrt((1.0 - k) * (1.0 + k))
+    c = k
+    avals = [a]
+    cvals = [c]
+    while abs(c) > 4.0 * sys.float_info.epsilon * a and len(avals) < 32:
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        avals.append(a)
+        cvals.append(c)
+    n = len(avals) - 1
+    phi = (2.0 ** n) * avals[n] * u
+    for i in range(n, 0, -1):
+        s = cvals[i] / avals[i] * math.sin(phi)
+        phi = 0.5 * (phi + math.asin(min(1.0, max(-1.0, s))))
+    sn = math.sin(phi)
+    cn = math.cos(phi)
+    dn = math.sqrt((1.0 - k * sn) * (1.0 + k * sn))
+    return sn, cn, dn
+
+
+def pendulum_landen(t: float, q0: float, omega: float, m: float) -> PhasePoint:
+    """The pendulum released from rest at q0, with every constant rebuilt."""
+    k = math.sin(0.5 * q0)
+    kp = math.cos(0.5 * q0)
+    u = math.fmod(omega * t, 4.0 * complete_elliptic_K(k))
+    sn, cn, dn = _sncndn(u, k)
+    q = 2.0 * math.asin(min(1.0, max(-1.0, k * cn / dn)))
+    p = -2.0 * m * k * kp * omega * sn / dn
+    return PhasePoint(p, q)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -123,9 +124,16 @@ class TestEstimateOrder:
         assert estimate_order(coarse, fine) == order
 
     def test_degenerate_inputs_raise(self):
-        for coarse, fine in ((0.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.inf), (-1.0, 1.0)):
+        # a subnormal error is rounding residue, not a rate
+        subnormal = math.nextafter(sys.float_info.min, 0.0)
+        for coarse, fine in ((0.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.inf), (-1.0, 1.0),
+                             (5e-324, 5e-324), (1.0, 1e-310), (subnormal, 1.0)):
             with pytest.raises(ValueError):
                 estimate_order(coarse, fine)
+
+    def test_smallest_normal_error_still_gives_an_order(self):
+        tiny = sys.float_info.min
+        assert estimate_order(64.0 * tiny, tiny) == 6
 
 
 class TestConvergenceTable:
@@ -157,6 +165,13 @@ class TestConvergenceTable:
                 meshes=(10, 20, 40), err_p=good, err_q=good, err_H=(64.0, 1.0, 0.0)
             )
         assert (info.value.observable, info.value.meshes) == ("H", (20, 40))
+
+    def test_degenerate_energy_is_named_before_the_phase_errors(self):
+        subnormal = (1e-310, 1e-311, 1e-312)
+        with pytest.raises(ValueError, match="degenerate error value 0.0") as info:
+            convergence_table(meshes=(10, 20, 40), err_p=subnormal, err_q=subnormal,
+                              err_H=(1.0, 0.0, 0.0))
+        assert (info.value.observable, info.value.meshes) == ("H", (10, 20))
 
     def test_dataclass_validates_lengths(self):
         with pytest.raises(ValueError):

@@ -11,8 +11,11 @@ from fractions import Fraction
 import pytest
 
 import lobvi
+import lobvi.cli
+from lobvi.analysis import TrajectoryRecord
 from lobvi.cli import ConfigError, ExperimentConfig, main, parse_config, run
 from lobvi.harmonic import stability_limit
+from lobvi.mechanics import PhasePoint
 
 W = 2.0 * math.pi
 FMT = "{:.16e}".format
@@ -24,6 +27,18 @@ def call_main(args):
     with contextlib.redirect_stderr(err):
         code = main(list(args))
     return code, err.getvalue()
+
+
+def per_cell_rows(record):
+    """Trajectory rows as one FMT call per cell, joined by commas."""
+    rows = []
+    for i, t in enumerate(record.times):
+        pt, ex = record.points[i], record.exact[i]
+        cells = [FMT(t), FMT(pt.q), FMT(pt.p), FMT(ex.q), FMT(ex.p), FMT(record.energies[i])]
+        if record.discrete_energies is not None:
+            cells.append(FMT(record.discrete_energies[i]))
+        rows.append(",".join(cells))
+    return rows
 
 
 def read_rows(path):
@@ -242,6 +257,41 @@ class TestTrajectoryOutput:
         assert lines[0].startswith("t,q,p,")
         assert len(lines) == 5
         assert "stdout" in err.getvalue()
+
+    # 1e200 overflows H and H_d to inf; at omega 1e-300 the exact p ends subnormal
+    @pytest.mark.parametrize(
+        "args, header",
+        [(["--amplitude", "1e200"], "t,q,p,q_exact,p_exact,H,H_d"),
+         (["--omega", "1e-300", "--meshes", "3"], "t,q,p,q_exact,p_exact,H,H_d"),
+         (["--system", "pendulum", "--scheme", "midpoint", "--meshes", "8"],
+          "t,q,p,q_exact,p_exact,H")],
+        ids=["huge-amplitude", "tiny-omega", "pendulum-midpoint"],
+    )
+    def test_rows_equal_the_per_cell_format(self, args, header):
+        config = parse_config(["trajectory", *args, "--out", "-"])
+        record = lobvi.cli._simulate(config, config.meshes[0], config.periods)
+        lines, _ = lobvi.cli._trajectory_lines(config)
+        assert lines == [header] + per_cell_rows(record)
+
+    @pytest.mark.parametrize("has_hd", [False, True], ids=["6-columns", "7-columns"])
+    def test_row_template_writes_special_values_per_cell(self, monkeypatch, has_hd):
+        special = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.0)
+        times = (-math.inf, -0.0, 5e-324, 1.0, math.inf)
+        pick = lambda shift: tuple(special[(i + shift) % 6] for i in range(len(times)))
+        record = TrajectoryRecord(
+            times=times,
+            points=tuple(map(PhasePoint, pick(0), pick(1))),
+            exact=tuple(map(PhasePoint, pick(2), pick(3))),
+            energies=pick(4),
+            discrete_energies=pick(5) if has_hd else None,
+        )
+        monkeypatch.setattr(lobvi.cli, "_simulate", lambda *args: record)
+        config = parse_config(["trajectory", "--out", "-"])
+        lines, _ = lobvi.cli._trajectory_lines(config)
+        assert lines[0].count(",") == (6 if has_hd else 5)
+        assert lines[1:] == per_cell_rows(record)
+        assert {"nan", "inf", "-inf", "-0.0000000000000000e+00",
+                "4.9406564584124654e-324"} <= set(",".join(lines[1:]).split(","))
 
     def test_byte_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -478,6 +528,21 @@ class TestExitCodes:
         assert code == 2
         assert err == f"config error: {want}\n"
 
+    @pytest.mark.parametrize("command", ["trajectory", "drift", "convergence"])
+    def test_release_angle_at_pi_after_rounding_is_config_error(self, tmp_path, command):
+        # 3.1415926535 < pi, but sin(q0/2) rounds to 1, where K is infinite
+        out = tmp_path / "near_pi.csv"
+        for sink in ("-", str(out)):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code, err = call_main([command, "--system", "pendulum",
+                                       "--amplitude", "3.1415926535", "--out", sink])
+            assert code == 2
+            assert err == ("config error: amplitude: q0 must be finite and far enough "
+                           "below pi that sin(q0/2) < 1, got 3.1415926535\n")
+            assert buf.getvalue() == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("sink", ["stdout", "file"])
     def test_harmonic_lobatto_past_stability_limit_is_rejected(self, tmp_path, sink):
         out = tmp_path / "t.csv"
@@ -547,11 +612,13 @@ class TestExitCodes:
         assert buf.getvalue() == ""
 
     # at --amplitude 1e301 the points stay finite, but H and its exact value
-    # both overflow to inf, so the H errors are inf - inf = NaN
+    # both overflow to inf, so the H errors are inf - inf = NaN; at --mass
+    # 1e-320 every error is subnormal, rounding residue with no order in it
     @pytest.mark.parametrize(
         "args, observable, value",
-        [(["--amplitude", "1e-300"], "H", "0.0"), (["--amplitude", "1e301"], "H", "nan")],
-        ids=["amplitude", "huge-amplitude"],
+        [(["--amplitude", "1e-300"], "H", "0.0"), (["--amplitude", "1e301"], "H", "nan"),
+         (["--mass", "1e-320"], "H", "4.4053e-319")],
+        ids=["amplitude", "huge-amplitude", "subnormal-mass"],
     )
     def test_degenerate_convergence_is_config_error(self, tmp_path, args, observable, value):
         out = tmp_path / "c.csv"

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import lobvi.exact
 from lobvi.exact import (
@@ -21,7 +23,7 @@ from lobvi.mechanics import (
     pendulum_potential,
 )
 
-from oracle import oracle_integrate
+from oracle import oracle_integrate, pendulum_landen
 
 W = 2.0 * math.pi
 
@@ -171,18 +173,58 @@ class TestPendulumExact:
                 with pytest.raises(ValueError, match=rf"^{name} must be"):
                     PendulumExact(**fields)
 
+    @pytest.mark.parametrize("q0", [3.1415926535, math.pi - 2e-8, math.nextafter(math.pi, 0.0)])
+    def test_rejects_release_whose_modulus_rounds_to_one(self, q0):
+        # below pi, yet sin(q0/2) rounds to 1.0, where K and the Landen descent are undefined
+        assert q0 < math.pi and math.sin(0.5 * q0) == 1.0
+        with pytest.raises(ValueError, match=r"^q0 must be finite and far enough below pi") as exc:
+            PendulumExact(q0=q0, omega=W, m=1.0)
+        assert exc.value.field == "q0"
+        # the largest angle still accepted, about 2.1e-8 below pi
+        largest = PendulumExact(q0=3.1415926325163688, omega=W, m=1.0)
+        assert largest.modulus == math.nextafter(1.0, 0.0)
+        with pytest.raises(ValueError):
+            PendulumExact(q0=math.nextafter(largest.q0, 4.0), omega=W, m=1.0)
+
     def test_modulus_K_is_computed_once_per_record(self, monkeypatch):
-        calls = []
+        calls, tables = [], []
 
         def counted(k):
             calls.append(k)
             return complete_elliptic_K(k)
 
+        landen = PendulumExact.__dict__["landen"]
+        build = landen.func
+
+        def counted_table(params):
+            tables.append(params)
+            return build(params)
+
         monkeypatch.setattr(lobvi.exact, "complete_elliptic_K", counted)
-        params = PendulumExact(q0=1.0, omega=W, m=1.0)
-        for j in range(100):
-            pendulum_exact(0.01 * j, params)
-        assert len(calls) <= 1
+        monkeypatch.setattr(landen, "func", counted_table)
+        records = [PendulumExact(q0=q0, omega=W, m=1.0) for q0 in (1.0, 2.0)]
+        for params in records:
+            for j in range(100):
+                pendulum_exact(0.01 * j, params)
+        assert len(calls) == 2
+        assert tables == records
+
+    @given(
+        q0=st.floats(0.0, math.pi, exclude_min=True, exclude_max=True).filter(
+            lambda q0: math.sin(0.5 * q0) < 1.0),
+        omega=st.floats(1e-3, 1e3),
+        m=st.floats(1e-3, 1e3),
+        t=st.one_of(st.floats(-10.0, 10.0), st.floats(-1e6, 1e6)),
+    )
+    @example(q0=math.pi / 2.0, omega=W, m=1.0, t=0.0)
+    @example(q0=1.5, omega=W, m=1.0, t=-0.37)
+    @example(q0=3.1415926325163688, omega=W, m=2.0, t=1e6)
+    @example(q0=5e-324, omega=W, m=1.0, t=0.25)
+    @example(q0=1e-8, omega=1e3, m=1e-3, t=-1e6)
+    def test_cached_table_matches_the_descent_rebuilt_per_call(self, q0, omega, m, t):
+        got = pendulum_exact(t, PendulumExact(q0=q0, omega=omega, m=m))
+        want = pendulum_landen(t, q0, omega, m)
+        assert (got.p.hex(), got.q.hex()) == (want.p.hex(), want.q.hex())
 
 
 class TestOracleIntegrate:
