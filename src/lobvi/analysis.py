@@ -217,15 +217,15 @@ class StabilityScan:
     transition: Optional[tuple]
 
 
-def stability_scan(
-    omega: float, m: float, hw_grid: Sequence[float], steps: int
-) -> StabilityScan:
+def stability_scan(hw_grid: Sequence[float], steps: int) -> StabilityScan:
     """Probe boundedness of the closed-form update along an h*omega grid.
 
-    A grid point is bounded when the scaled phase norm max(|p|/(m omega),
-    |q|) never exceeds 10x its initial value over the run; geometric growth
-    of an unstable mode makes any O(1) threshold equivalent.  The grid must
-    stay inside (0, sqrt(10)), where the update map is defined.
+    The map depends on h omega alone once p is scaled by m omega, so the
+    scan steps it at m = omega = 1 with h set to each grid value.  A grid
+    point is bounded when the phase norm max(|p|, |q|) never exceeds 10x its
+    initial value over the run; geometric growth of an unstable mode makes
+    any O(1) threshold equivalent.  The grid must stay inside (0, sqrt(10)),
+    where the update map is defined.
     """
     if steps < 1:
         raise ValueError("need at least one step")
@@ -237,14 +237,13 @@ def stability_scan(
 
     verdicts = []
     for g in grid:
-        params = HarmonicParams(m=m, omega=omega, h=g / omega)
-        tm = transfer_matrix(params)
+        tm = transfer_matrix(HarmonicParams(m=1.0, omega=1.0, h=g))
         pt = PhasePoint(0.0, 1.0)
-        norm0 = max(abs(pt.p) / (m * omega), abs(pt.q))
+        norm0 = max(abs(pt.p), abs(pt.q))
         worst = norm0
         for _ in range(steps):
             pt = step_harmonic(pt, tm)
-            worst = max(worst, abs(pt.p) / (m * omega), abs(pt.q))
+            worst = max(worst, abs(pt.p), abs(pt.q))
             if worst > 10.0 * norm0:
                 break
         verdicts.append(worst <= 10.0 * norm0)

@@ -34,8 +34,9 @@ from .pendulum import NewtonError, run_pendulum
 _COMMANDS = ("trajectory", "convergence", "drift", "stability")
 _SYSTEMS = ("harmonic", "pendulum")
 _SCHEMES = ("lobatto", "midpoint")
-# option that sets each field of the exact-reference records
-_OPTION_OF_FIELD = {"m": "mass", "omega": "omega", "amplitude": "amplitude", "q0": "amplitude"}
+# option that sets each field of the exact-reference and step records
+_OPTION_OF_FIELD = {"m": "mass", "omega": "omega", "amplitude": "amplitude", "q0": "amplitude",
+                    "h": "omega, meshes"}
 
 # the scan covers the upper end of the admissible range at 0.01 spacing
 _STABILITY_GRID = tuple((280 + i) / 100.0 for i in range(37))
@@ -61,6 +62,8 @@ class ExperimentConfig:
     out: str
     # exact-solution record of (system, amplitude, omega, m); validates them
     reference: HarmonicExact | PendulumExact = field(init=False, repr=False, compare=False)
+    # StepParams of each mesh count: h is one N-th of the period
+    steps: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.command not in _COMMANDS:
@@ -107,13 +110,18 @@ class ExperimentConfig:
         try:
             if self.system == "harmonic":
                 reference = HarmonicExact(amplitude=self.amplitude, omega=self.omega, m=self.m)
+                span = 2.0 * math.pi / self.omega
+                potential = harmonic_potential(self.m, self.omega)
             else:
                 reference = PendulumExact(q0=self.amplitude, omega=self.omega, m=self.m)
+                span, potential = reference.period, pendulum_potential(self.m, self.omega)
+            steps = {n: StepParams(m=self.m, h=span / n, potential=potential) for n in self.meshes}
         except ValueError as exc:
             raise ConfigError(f"{_OPTION_OF_FIELD[exc.field]}: {exc}") from None
         if self.system == "harmonic" and self.amplitude == 0.0:
             raise ConfigError("harmonic amplitude must be nonzero")
         object.__setattr__(self, "reference", reference)
+        object.__setattr__(self, "steps", steps)
 
 
 def _choice(choices):
@@ -160,9 +168,9 @@ _OPTIONS = {
     "amplitude": (_number, "initial extension or release angle"),
     "out": (str, "output CSV path, or - for stdout"),
 }
-# the options each subcommand reads; stability scans a fixed oscillator grid
+# the options each subcommand reads; stability scans a fixed grid of h*omega
 _KEYS = {name: tuple(_OPTIONS) for name in _COMMANDS}
-_KEYS["stability"] = ("mass", "omega", "out")
+_KEYS["stability"] = ("out",)
 
 
 class _SubcommandParser(argparse.ArgumentParser):
@@ -268,44 +276,36 @@ def parse_config(argv: Sequence[str]) -> ExperimentConfig:
     )
 
 
-def _simulate(config: ExperimentConfig, n_per_period: int, periods: int) -> TrajectoryRecord:
-    m, w, ref = config.m, config.omega, config.reference
-    if config.system == "harmonic":
-        span = 2.0 * math.pi / w
-        exact_at = lambda t: harmonic_exact(t, ref)
-        potential = harmonic_potential(m, w)
-    else:
-        span = ref.period
-        exact_at = lambda t: pendulum_exact(t, ref)
-        potential = pendulum_potential(m, w)
-    h = span / n_per_period
-    n = n_per_period * periods
-    start = exact_at(0.0)
+def _simulate(config: ExperimentConfig, mesh: int) -> TrajectoryRecord:
+    """Run `config.periods` periods of `mesh` steps each and record every node."""
+    ref, step = config.reference, config.steps[mesh]
+    exact = harmonic_exact if config.system == "harmonic" else pendulum_exact
+    n = mesh * config.periods
+    start = exact(0.0, ref)
 
-    params = StepParams(m=m, h=h, potential=potential)
     if config.scheme == "midpoint":
-        stepper = run_midpoint
+        stepper, params = run_midpoint, step
     elif config.system == "pendulum":
-        stepper = run_pendulum
+        stepper, params = run_pendulum, step
     else:
-        stepper, params = run_harmonic, HarmonicParams(m=m, omega=w, h=h)
+        stepper, params = run_harmonic, HarmonicParams(m=step.m, omega=config.omega, h=step.h)
     run = stepper(start, params, n)
 
-    times = tuple(j * h for j in range(n + 1))
+    times = tuple(j * step.h for j in range(n + 1))
     drift = config.command == "drift"
     return TrajectoryRecord(
         times=times,
         points=run.points,
         # drift reads only the energies, and only H_d where the scheme has it
-        exact=None if drift else tuple(exact_at(t) for t in times),
+        exact=None if drift else tuple(exact(t, ref) for t in times),
         energies=None if drift and run.discrete_energies is not None
-        else tuple(energy(pt, potential, m) for pt in run.points),
+        else tuple(energy(pt, step.potential, step.m) for pt in run.points),
         discrete_energies=run.discrete_energies,
     )
 
 
 def _trajectory_lines(config: ExperimentConfig) -> tuple:
-    record = _simulate(config, config.meshes[0], config.periods)
+    record = _simulate(config, config.meshes[0])
     has_hd = record.discrete_energies is not None
     lines = ["t,q,p,q_exact,p_exact,H" + (",H_d" if has_hd else "")]
     # every cell takes _FMT's spec, so one format call per row writes the same bytes
@@ -319,7 +319,7 @@ def _trajectory_lines(config: ExperimentConfig) -> tuple:
 def _convergence_lines(config: ExperimentConfig) -> tuple:
     errs = {"p": [], "q": [], "H": [], "H_d": []}
     for n in config.meshes:
-        record = _simulate(config, n, config.periods)
+        record = _simulate(config, n)
         for obs in ("p", "q", "H"):
             errs[obs].append(linf_error(record, obs))
         if record.discrete_energies is not None:
@@ -346,7 +346,7 @@ def _convergence_lines(config: ExperimentConfig) -> tuple:
 
 
 def _drift_lines(config: ExperimentConfig) -> tuple:
-    record = _simulate(config, config.meshes[0], config.periods)
+    record = _simulate(config, config.meshes[0])
     series, rate = energy_drift_series(record, config.periods)
     observable = "H_d" if record.discrete_energies is not None else "H"
     lines = [
@@ -360,7 +360,7 @@ def _drift_lines(config: ExperimentConfig) -> tuple:
 
 
 def _stability_lines(config: ExperimentConfig) -> tuple:
-    scan = stability_scan(config.omega, config.m, _STABILITY_GRID, _STABILITY_STEPS)
+    scan = stability_scan(_STABILITY_GRID, _STABILITY_STEPS)
     trans = scan.transition
     trans_text = "none" if trans is None else f"{trans[0]:.2f},{trans[1]:.2f}"
     lines = [f"# transition: {trans_text}", "h_omega,bounded"]

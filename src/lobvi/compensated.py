@@ -1,11 +1,9 @@
 """Error-free transforms and double-double (hi, lo) arithmetic.
 
-The closed-form oscillator step conserves a quadratic invariant exactly in
-real arithmetic.  Folding the step in plain float64 leaks a few ulp per step
-through the rounded matrix coefficients, which is visible against a drift
-budget that is itself only a few ulp of the invariant.  Carrying the
-coefficients, the state, and the invariant as double-doubles removes the
-leak; values are rounded once on emission.
+The library does not call this module: run_harmonic folds the oscillator
+map in 34-digit decimal.  The tests build an independent double-double
+reference fold from it (tests/oracle.py), and the benchmark harness imports
+it as a layer.
 
 A double-double is an unevaluated sum (hi, lo) with |lo| <= ulp(hi)/2,
 giving roughly 32 significant decimal digits.

@@ -6,9 +6,10 @@ which yields a reduced two-point Lagrangian, a 2x2 transfer matrix for
 (p, q), and a conserved discrete quadratic energy.  The scheme is stable for
 h omega below sqrt(42 - 6 sqrt(29)) ~ 3.1127, slightly less than pi.
 
-The diagnostic helpers (center_residual, taylor_samples,
-truncation_leading_term) use only +, -, *, / and integer literals so that
-extended-precision inputs flow through unchanged; the h^6 residual signal
+transfer_matrix and the diagnostic helpers (center_residual, taylor_samples,
+truncation_leading_term) use plain arithmetic and take every constant in the
+number type of their inputs, so Decimal inputs flow through unchanged:
+run_harmonic folds transfer_matrix in decimal, and the h^6 residual signal
 sits far below float64 cancellation noise for small h omega.
 """
 
@@ -179,10 +180,11 @@ def transfer_matrix(params: HarmonicParams) -> TransferMatrix:
     """Coefficients of the one-step map, Horner-evaluated in x = (h omega)^2."""
     x = _x(params)
     m, h, omega = params.m, params.h, params.omega
-    delta = 1.0 + x * (1.0 / 30.0 + x * (1.0 / 1800.0))
-    a = 1.0 + x * (-7.0 / 15.0 + x * (23.0 / 900.0 + x * (-1.0 / 3600.0)))
-    b = m * h * omega ** 2 * (-43200.0 + x * (5760.0 + x * (-144.0 + x))) / 43200.0
-    c = h / m * (1.0 + x * (-2.0 / 15.0 + x * (1.0 / 300.0)))
+    one = type(x)(1)  # not x ** 0: a Decimal 0 ** 0 (omega = 0) is NaN
+    delta = 1 + x * (one / 30 + x * (one / 1800))
+    a = 1 + x * (-7 * one / 15 + x * (23 * one / 900 + x * (-one / 3600)))
+    b = m * h * omega ** 2 * (-43200 + x * (5760 + x * (-144 + x))) / 43200
+    c = h / m * (1 + x * (-2 * one / 15 + x * (one / 300)))
     stable = abs(h) * omega < stability_limit()
     return TransferMatrix(delta=delta, a=a, b=b, c=c, stable=stable)
 
@@ -255,22 +257,16 @@ def run_harmonic(point: PhasePoint, params: HarmonicParams, n_steps: int) -> Run
     per emitted value, so the discrete-energy column is flat to the last bit
     over any horizon the tests care about.
 
-    The coefficients take the Horner forms of transfer_matrix from the
-    exact decimal values of h, omega and m, and are divided by delta once
-    per run.  Float64-rounded coefficients would break a^2 - b c = delta^2
-    by an ulp, which shows up as a systematic per-step leak of H_d.
+    The map is transfer_matrix evaluated on the exact decimal values of m,
+    omega and h, so its coefficients are divided by delta once per run.
+    Float64-rounded coefficients would break a^2 - b c = delta^2 by an ulp,
+    which shows up as a systematic per-step leak of H_d.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
     with localcontext(_FOLD):
-        m, h, omega = Decimal(params.m), Decimal(params.h), Decimal(params.omega)
-        z = h * omega
-        x = z * z
-        delta = 1 + x * (Decimal(1) / 30 + x * (Decimal(1) / 1800))
-        a = 1 + x * (Decimal(-7) / 15 + x * (Decimal(23) / 900 + x * (Decimal(-1) / 3600)))
-        b = m * h * omega * omega * (-43200 + x * (5760 + x * (-144 + x))) / 43200
-        c = h / m * (1 + x * (Decimal(-2) / 15 + x * (Decimal(1) / 300)))
-        a, b, c = a / delta, b / delta, c / delta
+        exact = HarmonicParams(Decimal(params.m), Decimal(params.omega), Decimal(params.h))
+        (a, b), (c, _) = transfer_matrix(exact).phi
         p, q = Decimal(point.p), Decimal(point.q)
         points = [point]
         energies = [float((c * p * p - b * q * q) / 2)]

@@ -193,12 +193,11 @@ def reference_fold(point: PhasePoint, params, n_steps: int) -> tuple:
     return points, energies
 
 
-def exact_fold(point: PhasePoint, params, n_steps: int) -> tuple:
-    """The oscillator fold in mpmath at 50 significant digits.
+def exact_coefficients(params) -> tuple:
+    """Transfer-matrix coefficients (delta, a, b, c) in mpmath at 50 digits.
 
     The Horner forms of transfer_matrix on the exact values of the float
-    inputs.  Returns (points, discrete energies) as lists of n_steps + 1
-    mpf values, (p, q) pairs for the points, not rounded to float.
+    inputs, as mpf values.
     """
     with mp.workdps(50):
         m, h, w = mp.mpf(params.m), mp.mpf(params.h), mp.mpf(params.omega)
@@ -207,6 +206,18 @@ def exact_fold(point: PhasePoint, params, n_steps: int) -> tuple:
         a = 1 + x * (mp.mpf(-7) / 15 + x * (mp.mpf(23) / 900 + x * (mp.mpf(-1) / 3600)))
         b = m * h * w * w * (-43200 + x * (5760 + x * (-144 + x))) / 43200
         c = h / m * (1 + x * (mp.mpf(-2) / 15 + x * (mp.mpf(1) / 300)))
+    return delta, a, b, c
+
+
+def exact_fold(point: PhasePoint, params, n_steps: int) -> tuple:
+    """The oscillator fold in mpmath at 50 significant digits.
+
+    Steps the map of exact_coefficients.  Returns (points, discrete
+    energies) as lists of n_steps + 1 mpf values, (p, q) pairs for the
+    points, not rounded to float.
+    """
+    with mp.workdps(50):
+        delta, a, b, c = exact_coefficients(params)
         a, b, c = a / delta, b / delta, c / delta
         p, q = mp.mpf(point.p), mp.mpf(point.q)
         points = [(p, q)]

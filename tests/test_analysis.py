@@ -265,13 +265,13 @@ class TestEnergyDriftSeries:
 
 class TestStabilityScan:
     def test_comfortably_stable_grid(self):
-        scan = stability_scan(W, 1.0, [0.5, 1.0, 2.0], steps=500)
+        scan = stability_scan([0.5, 1.0, 2.0], steps=500)
         assert scan.bounded == (True, True, True)
         assert scan.transition is None
 
     def test_brackets_the_instability_onset(self):
         grid = [3.05 + 0.01 * j for j in range(11)]
-        scan = stability_scan(W, 1.0, grid, steps=2000)
+        scan = stability_scan(grid, steps=2000)
         assert scan.transition is not None
         lo, hi = scan.transition
         assert lo == pytest.approx(3.11, abs=1e-12)
@@ -279,13 +279,13 @@ class TestStabilityScan:
 
     def test_rejects_grid_outside_domain(self):
         with pytest.raises(ValueError):
-            stability_scan(W, 1.0, [3.2], steps=10)
+            stability_scan([3.2], steps=10)
         with pytest.raises(ValueError):
-            stability_scan(W, 1.0, [0.0], steps=10)
+            stability_scan([0.0], steps=10)
 
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):
-            stability_scan(W, 1.0, [1.0], steps=0)
+            stability_scan([1.0], steps=0)
 
     def test_unstable_point_grows_without_bound(self):
         """Direct substance check just past the onset: iterate the closed

@@ -81,6 +81,7 @@ class TestParseConfig:
         assert cfg.meshes == (10,)
         assert cfg.periods == 1
         assert cfg.out == "trajectory_harmonic_lobatto.csv"
+        assert parse_config(["stability"]).out == "stability_harmonic_lobatto.csv"
 
     def test_default_meshes_by_command_and_system(self):
         assert parse_config(["convergence"]).meshes == (10, 20, 40)
@@ -206,6 +207,8 @@ class TestExperimentConfig:
             dict(command="stability", system="pendulum"),
             dict(command="stability", scheme="midpoint"),
             dict(command="convergence", meshes=(47,)),
+            dict(omega=1e-320),
+            dict(system="pendulum", omega=1e-320),
         ],
     )
     def test_rejects_bad_values(self, over):
@@ -269,7 +272,7 @@ class TestTrajectoryOutput:
     )
     def test_rows_equal_the_per_cell_format(self, args, header):
         config = parse_config(["trajectory", *args, "--out", "-"])
-        record = lobvi.cli._simulate(config, config.meshes[0], config.periods)
+        record = lobvi.cli._simulate(config, config.meshes[0])
         lines, _ = lobvi.cli._trajectory_lines(config)
         assert lines == [header] + per_cell_rows(record)
 
@@ -543,6 +546,31 @@ class TestExitCodes:
             assert buf.getvalue() == ""
         assert not out.exists()
 
+    # h = period / N: 2 pi / 1e-320 overflows to inf, and 2 pi / 1e308
+    # spread over 1e20 nodes underflows to 0
+    @pytest.mark.parametrize(
+        "args, got",
+        [(["trajectory", "--omega", "1e-320"], "inf"),
+         (["drift", "--omega", "1e-320"], "inf"),
+         (["convergence", "--omega", "1e-320"], "inf"),
+         (["trajectory", "--system", "pendulum", "--omega", "1e-320"], "inf"),
+         (["drift", "--system", "pendulum", "--omega", "1e-320"], "inf"),
+         (["convergence", "--system", "pendulum", "--omega", "1e-320"], "inf"),
+         (["trajectory", "--omega", "1e308", "--meshes", "100000000000000000000"], "0.0")],
+        ids=["trajectory", "drift", "convergence", "pendulum-trajectory", "pendulum-drift",
+             "pendulum-convergence", "huge-mesh"],
+    )
+    def test_degenerate_step_size_is_config_error(self, tmp_path, args, got):
+        out = tmp_path / "h.csv"
+        for sink in ("-", str(out)):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code, err = call_main([*args, "--out", sink])
+            assert code == 2
+            assert err == f"config error: omega, meshes: h must be finite and nonzero, got {got}\n"
+            assert buf.getvalue() == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("sink", ["stdout", "file"])
     def test_harmonic_lobatto_past_stability_limit_is_rejected(self, tmp_path, sink):
         out = tmp_path / "t.csv"
@@ -563,8 +591,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "flag", [["--system", "pendulum"], ["--scheme", "midpoint"], ["--periods", "7"],
-                 ["--amplitude", "1.0"], ["--meshes", "10"]],
-        ids=["system", "scheme", "periods", "amplitude", "meshes"],
+                 ["--amplitude", "1.0"], ["--meshes", "10"], ["--mass", "2.0"],
+                 ["--omega", "3.0"]],
+        ids=["system", "scheme", "periods", "amplitude", "meshes", "mass", "omega"],
     )
     def test_stability_rejects_options_it_does_not_read(self, tmp_path, flag):
         buf, err = io.StringIO(), io.StringIO()
@@ -574,7 +603,7 @@ class TestExitCodes:
         assert buf.getvalue() == ""
         assert err.getvalue().startswith("usage: lobvi stability")
         path = tmp_path / "scan.cfg"
-        path.write_text(f"mass = 1.0\n{flag[0][2:]} = {flag[1]}\n")
+        path.write_text(f"out = -\n{flag[0][2:]} = {flag[1]}\n")
         code, err = call_main(["stability", "--config", str(path), "--out", "-"])
         assert code == 2
         assert err == f"config error: {path}:2: stability takes no key {flag[0][2:]!r}\n"
@@ -594,13 +623,6 @@ class TestExitCodes:
         assert buf.getvalue() == ""
         assert err.getvalue().startswith(usage)
         assert err.getvalue().endswith("error: unrecognized arguments: --bogus\n")
-
-    def test_stability_reads_mass_and_omega(self, tmp_path):
-        path = tmp_path / "scan.cfg"
-        path.write_text("mass = 2.0\nomega = 3.0\n")
-        cfg = parse_config(["stability", "--config", str(path)])
-        assert (cfg.m, cfg.omega) == (2.0, 3.0)
-        assert cfg.out == "stability_harmonic_lobatto.csv"
 
     @pytest.mark.parametrize("command", ["trajectory", "drift"])
     def test_extra_mesh_counts_are_rejected(self, command):

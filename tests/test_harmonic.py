@@ -1,5 +1,6 @@
 import math
 import struct
+from decimal import Context, Decimal, localcontext
 
 import mpmath as mp
 import numpy as np
@@ -28,7 +29,7 @@ from lobvi.harmonic import (
 )
 from lobvi.mechanics import ElementState, PhasePoint, harmonic_potential
 from lobvi.quadrature import XI, integrate_unit, interpolate, stiffness_matrix
-from oracle import exact_fold, nearest_float, reference_fold
+from oracle import exact_coefficients, exact_fold, nearest_float, reference_fold
 
 TABLE_PARAMS = HarmonicParams(m=1.0, omega=2.0 * math.pi, h=0.1)
 
@@ -224,6 +225,30 @@ class TestTransferMatrix:
             transfer_matrix(HarmonicParams(m=m, omega=w, h=-h)).phi
         )
         assert np.max(np.abs(fwd @ back - np.eye(2))) <= 1e-12
+
+    @given(m=masses, h=steps, w=st.one_of(st.just(0.0), omegas))
+    @example(m=1.0, h=0.1, w=2.0 * math.pi)
+    @example(m=2.0, h=0.3, w=0.0)
+    def test_decimal_fields_are_evaluated_in_decimal(self, m, h, w):
+        """The Decimal map rounds to the 50-digit coefficients within 1 ulp.
+
+        delta also matches the float path to 1 ulp.  The float a, b and c
+        carry the rounding of their Horner forms: b is several ulp off, and
+        a far more where it crosses zero near h omega = pi/2.
+        """
+        params = HarmonicParams(m=m, omega=w, h=h)
+        fl = transfer_matrix(params)
+        with localcontext(Context(prec=34)):
+            tm = transfer_matrix(HarmonicParams(Decimal(m), Decimal(w), Decimal(h)))
+            c_free = Decimal(h) / Decimal(m)
+        coefficients = (tm.delta, tm.a, tm.b, tm.c)
+        assert all(isinstance(v, Decimal) for v in coefficients)
+        for v, ref in zip(coefficients, exact_coefficients(params)):
+            assert abs(float(v) - nearest_float(ref)) <= math.ulp(float(v))
+        assert abs(float(tm.delta) - fl.delta) <= math.ulp(fl.delta)
+        assert tm.stable == fl.stable
+        if w == 0.0:
+            assert (tm.delta, tm.a, tm.b, tm.c) == (1, 1, 0, c_free)
 
 
 class TestStepHarmonic:
