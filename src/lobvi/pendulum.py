@@ -13,18 +13,18 @@ tolerance in a handful of iterations at any sane step size.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Callable, Optional
 
 from .analysis import map_jacobian_determinant
-from .harmonic import kinetic_form, stability_limit
+from .harmonic import kinetic_form
 from .mechanics import ElementState, PhasePoint, Run, StepParams
 from .quadrature import SQRT5, XI
 
 # One stopping rule for both implicit schemes: stop once the scaled residual
 # infinity norm is at most TOL (1e-14 puts every Table 2 entry within 2% of
-# print), fail after MAX_ITER iterations, and call a Newton increment larger
-# than MAX_STEP divergence (quadratic convergence never gets near it).
+# print), fail after MAX_ITER iterations, and call a Newton position increment
+# larger than MAX_STEP divergence (quadratic convergence never gets near it; the
+# momentum increment scales with m and follows from the position increments).
 TOL = 1e-14
 MAX_ITER = 20
 MAX_STEP = 1e6
@@ -193,28 +193,15 @@ def newton_step_solve(p_j: float, q_j: float, params: StepParams) -> tuple:
         da = (g1 * c1 - j12 * e1 + j14 * e2) / det
         db = (j11 * e1 - g1 * c2 + j14 * e3) / det
         dn = (-j11 * e2 - j12 * e3 + g1 * c3) / det
-        dp = -f3 - j31 * da - j32 * db - j34 * dn
-        if max(abs(da), abs(db), abs(dp), abs(dn)) > MAX_STEP:
+        if max(abs(da), abs(db), abs(dn)) > MAX_STEP:
             raise NewtonError("diverged", residual=res, iterations=used)
+        dp = -f3 - j31 * da - j32 * db - j34 * dn
         a, b, p, n = a + da, b + db, p + dp, n + dn
     raise NewtonError("no convergence", residual=res, iterations=MAX_ITER)
 
 
-def _warn_if_stiff(point: PhasePoint, params: StepParams) -> None:
-    # linearized surrogate bound; advisory only, never enforced
-    z = abs(params.h) * math.sqrt(abs(params.potential.d2V(point.q)) / params.m)
-    if z >= stability_limit():
-        warnings.warn(
-            f"|h|*sqrt|V''(q)/m| = {z:.3f} is at or beyond the linearized "
-            f"stability bound {stability_limit():.4f}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
 def run_pendulum(point: PhasePoint, params: StepParams, n_steps: int) -> Run:
     """Fold the implicit step n_steps times; returns Run(points, iterations, None)."""
-    _warn_if_stiff(point, params)
 
     def step(pt: PhasePoint) -> tuple:
         (_, _, p_next, q_next), used = newton_step_solve(pt.p, pt.q, params)

@@ -4,8 +4,8 @@ import math
 import os
 import re
 import subprocess
+import shutil
 import sys
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -204,8 +204,8 @@ class TestExperimentConfig:
             dict(meshes=(2,)),
             dict(meshes=(10, 20)),
             dict(command="drift", meshes=(10, 20)),
-            dict(command="stability", system="pendulum"),
-            dict(command="stability", scheme="midpoint"),
+            dict(command="stability", system="kepler"),
+            dict(command="stability", out=""),
             dict(command="convergence", meshes=(47,)),
             dict(omega=1e-320),
             dict(system="pendulum", omega=1e-320),
@@ -218,6 +218,17 @@ class TestExperimentConfig:
     def test_pendulum_allows_wide_release(self):
         cfg = self.good(system="pendulum", amplitude=3.1)
         assert cfg.amplitude == 3.1
+
+    def test_stability_reads_only_out(self):
+        # the scan runs at m = omega = 1, so the run values are not validated
+        cfg = self.good(command="stability", m=-1.0, omega=1.0, amplitude=1.0, out="-")
+        assert (cfg.reference, cfg.steps, cfg.advisories) == (None, None, ())
+        got, want = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(got), contextlib.redirect_stderr(io.StringIO()):
+            assert run(cfg) == 0
+        with contextlib.redirect_stdout(want), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["stability", "--out", "-"]) == 0
+        assert got.getvalue() == want.getvalue()
 
 
 class TestTrajectoryOutput:
@@ -301,6 +312,19 @@ class TestTrajectoryOutput:
         call_main(["trajectory", "--meshes", "10", "--out", str(a)])
         call_main(["trajectory", "--meshes", "10", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+    @pytest.mark.parametrize("mass", ["1e6", "1e10"])
+    def test_pendulum_positions_do_not_depend_on_mass(self, tmp_path, mass):
+        qs = {}
+        for m in ("1", mass):
+            out = tmp_path / f"m{m}.csv"
+            code, err = call_main(["trajectory", "--system", "pendulum", "--periods", "3",
+                                   "--mass", m, "--out", str(out)])
+            assert code == 0, err
+            qs[m] = [float(row[1]) for row in read_rows(out)[1]]
+        assert len(qs[mass]) == len(qs["1"]) == 31
+        assert max(abs(a - b) for a, b in zip(qs[mass], qs["1"])) <= 1e-13
 
 
 class TestConvergenceOutput:
@@ -477,17 +501,15 @@ class TestExitCodes:
 
     def test_solver_failure_exits_three(self, tmp_path):
         out = tmp_path / "t.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code, err = call_main(
-                [
-                    "trajectory",
-                    "--system", "pendulum",
-                    "--meshes", "2",
-                    "--amplitude", "3.1",
-                    "--out", str(out),
-                ]
-            )
+        code, err = call_main(
+            [
+                "trajectory",
+                "--system", "pendulum",
+                "--meshes", "2",
+                "--amplitude", "3.1",
+                "--out", str(out),
+            ]
+        )
         assert code == 3
         assert "solver failure" in err
         assert "step 2 of 2" in err
@@ -588,6 +610,36 @@ class TestExitCodes:
         with contextlib.redirect_stdout(io.StringIO()):
             code, _ = call_main([*args, "--scheme", "midpoint"])
         assert code == 0
+
+    def test_pendulum_lobatto_past_stability_limit_warns(self):
+        # h*omega at q = 0 is 3.7081 for the default release angle pi/2
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, err = call_main(["trajectory", "--system", "pendulum", "--meshes", "2",
+                                   "--out", "-"])
+        assert code == 0
+        warned = [line for line in err.splitlines() if line.startswith("warning:")]
+        assert warned == [
+            "warning: meshes: 2 nodes per period put h*omega = 3.7081 at or past the "
+            f"stability limit {stability_limit():.4f} of the pendulum Lobatto scheme"
+        ]
+
+    def test_advisory_does_not_depend_on_the_checkout(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lobvi.__file__)))
+        errs = []
+        for name in ("one", "two"):
+            shutil.copytree(os.path.join(src, "lobvi"), tmp_path / name / "lobvi",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            done = subprocess.run(
+                [sys.executable, "-m", "lobvi", "trajectory", "--system", "pendulum",
+                 "--meshes", "3", "--amplitude", "3.0", "--out", "-"],
+                env=dict(os.environ, PYTHONPATH=str(tmp_path / name)),
+                capture_output=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            errs.append(done.stderr)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith(b"warning: meshes: 3 ")
+        assert b".py:" not in errs[0]
 
     @pytest.mark.parametrize(
         "flag", [["--system", "pendulum"], ["--scheme", "midpoint"], ["--periods", "7"],

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -389,15 +390,18 @@ class TestStepAndRun:
         assert exc.reason == "no convergence"
         assert (exc.step, exc.n_steps, exc.iterations) == (1, 3, 1)
 
-    def test_stiff_step_warns(self):
-        # h * omega = 0.55 * 2 pi is past the bound for both potentials
+    def test_stiff_step_records_no_warning(self):
+        # h * omega = 0.55 * 2 pi is past the stability limit for both potentials;
+        # the solver reports only through its Run record and NewtonError
         cases = [(pendulum_params(h=0.55), 0.1), (harmonic_nl_params(h=0.55), math.pi / 2.0)]
         for params, q in cases:
-            with pytest.warns(RuntimeWarning):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 try:
                     run_pendulum(PhasePoint(0.0, q), params, 1)
                 except NewtonError:
                     pass
+            assert caught == []
 
     def test_action_stationarity_at_shared_node(self):
         params = pendulum_params()
