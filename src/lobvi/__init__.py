@@ -33,6 +33,7 @@ from .harmonic import (
     TransferMatrix,
     center_residual,
     discrete_energy,
+    discrete_energy_series,
     discrete_lagrangian,
     internal_dofs,
     kinetic_form,

@@ -22,27 +22,25 @@ _OBSERVABLES = ("p", "q", "H", "H_d")
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """Node-sampled run: times, states, optional exact states and energies.
+    """Node-sampled run: times, optional states, exact states and energies.
 
     discrete_energies is only meaningful for the linear closed-form scheme;
-    leave it None elsewhere.
+    leave it None elsewhere.  points is None in a record that holds only
+    energies, such as the oscillator's H_d drift.
     """
 
     times: tuple
-    points: tuple
+    points: Optional[tuple] = None
     exact: Optional[tuple] = None
     energies: Optional[tuple] = None
     discrete_energies: Optional[tuple] = None
 
     def __post_init__(self):
         object.__setattr__(self, "times", tuple(self.times))
-        object.__setattr__(self, "points", tuple(self.points))
         n = len(self.times)
         if n == 0:
             raise ValueError("empty record")
-        if len(self.points) != n:
-            raise ValueError("times and points lengths differ")
-        for name in ("exact", "energies", "discrete_energies"):
+        for name in ("points", "exact", "energies", "discrete_energies"):
             val = getattr(self, name)
             if val is not None:
                 object.__setattr__(self, name, tuple(val))
@@ -67,8 +65,9 @@ def linf_error(record: TrajectoryRecord, observable: str) -> float:
     if observable not in _OBSERVABLES:
         raise ValueError(f"unknown observable {observable!r}")
     if observable in ("p", "q"):
-        if record.exact is None:
-            raise ValueError(f"observable {observable!r} needs the exact sequence")
+        for name in ("points", "exact"):
+            if getattr(record, name) is None:
+                raise ValueError(f"observable {observable!r} needs the {name} sequence")
         pick = (lambda pt: pt.p) if observable == "p" else (lambda pt: pt.q)
         errs = [abs(pick(a) - pick(b)) for a, b in zip(record.points, record.exact)]
     else:

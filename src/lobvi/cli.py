@@ -26,7 +26,7 @@ from .analysis import (
     stability_scan,
 )
 from .exact import HarmonicExact, PendulumExact, harmonic_exact, pendulum_exact
-from .harmonic import HarmonicParams, run_harmonic, stability_limit
+from .harmonic import HarmonicParams, discrete_energy_series, run_harmonic, stability_limit
 from .mechanics import StepParams, energy, harmonic_potential, pendulum_potential
 from .midpoint import run_midpoint
 from .pendulum import NewtonError, run_pendulum
@@ -288,6 +288,8 @@ def _simulate(config: ExperimentConfig, mesh: int) -> TrajectoryRecord:
     exact = harmonic_exact if config.system == "harmonic" else pendulum_exact
     n = mesh * config.periods
     start = exact(0.0, ref)
+    times = tuple(j * step.h for j in range(n + 1))
+    drift = config.command == "drift"
 
     if config.scheme == "midpoint":
         stepper, params = run_midpoint, step
@@ -295,17 +297,18 @@ def _simulate(config: ExperimentConfig, mesh: int) -> TrajectoryRecord:
         stepper, params = run_pendulum, step
     else:
         stepper, params = run_harmonic, HarmonicParams(m=step.m, omega=config.omega, h=step.h)
+        if drift:
+            # the oscillator's drift reads only H_d, so fold it without the points
+            return TrajectoryRecord(times=times,
+                                    discrete_energies=discrete_energy_series(start, params, n))
     run = stepper(start, params, n)
 
-    times = tuple(j * step.h for j in range(n + 1))
-    drift = config.command == "drift"
     return TrajectoryRecord(
         times=times,
         points=run.points,
-        # drift reads only the energies, and only H_d where the scheme has it
+        # drift reads only the energies
         exact=None if drift else tuple(exact(t, ref) for t in times),
-        energies=None if drift and run.discrete_energies is not None
-        else tuple(energy(pt, step.potential, step.m) for pt in run.points),
+        energies=tuple(energy(pt, step.potential, step.m) for pt in run.points),
         discrete_energies=run.discrete_energies,
     )
 

@@ -44,12 +44,17 @@ def harmonic_exact(t: float, params: HarmonicExact) -> PhasePoint:
     return PhasePoint(-a * m * w * math.sin(w * t), a * math.cos(w * t))
 
 
-def complete_elliptic_K(k: float) -> float:
-    """Complete elliptic integral of the first kind, via the AGM."""
+def complete_elliptic_K(k: float, kp: float | None = None) -> float:
+    """Complete elliptic integral of the first kind, via the AGM.
+
+    kp is the complementary modulus sqrt(1 - k^2).  Pass it when it is known
+    more accurately than k gives it: near k = 1 the rebuilt value loses the
+    digits that k rounded away, and K with them.
+    """
     if not 0.0 <= k < 1.0:
         raise ValueError(f"modulus outside [0, 1): {k!r}")
     a = 1.0
-    b = math.sqrt((1.0 - k) * (1.0 + k))
+    b = math.sqrt((1.0 - k) * (1.0 + k)) if kp is None else kp
     for _ in range(32):
         if abs(a - b) <= 4.0 * _EPS * a:
             break
@@ -75,10 +80,15 @@ class PendulumExact:
     def modulus(self) -> float:
         return math.sin(0.5 * self.q0)
 
+    @property
+    def complementary_modulus(self) -> float:
+        """k' = cos(q0/2), taken from q0: sqrt(1 - k^2) cancels as q0 nears pi."""
+        return math.cos(0.5 * self.q0)
+
     @cached_property
     def elliptic_K(self) -> float:
         """K(modulus), computed once per record."""
-        return complete_elliptic_K(self.modulus)
+        return complete_elliptic_K(self.modulus, self.complementary_modulus)
 
     @property
     def period(self) -> float:
@@ -91,16 +101,14 @@ class PendulumExact:
         The descending Landen sequence of the modulus: run the AGM until c_n
         is a few ulp of a_n, and keep the ratios in unwinding order.
         """
-        k = self.modulus
-        a = 1.0
-        b = math.sqrt((1.0 - k) * (1.0 + k))
-        c = k
+        k, kp = self.modulus, self.complementary_modulus
+        a, b, c = 1.0, kp, k
         ratios = []
         while abs(c) > 4.0 * _EPS * a and len(ratios) < 31:
             a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
             ratios.append(c / a)
         scale = (2.0 ** len(ratios)) * a
-        return k, math.cos(0.5 * self.q0), 4.0 * self.elliptic_K, scale, tuple(reversed(ratios))
+        return k, kp, 4.0 * self.elliptic_K, scale, tuple(reversed(ratios))
 
 
 def pendulum_exact(t: float, params: PendulumExact) -> PhasePoint:

@@ -9,8 +9,9 @@ h omega below sqrt(42 - 6 sqrt(29)) ~ 3.1127, slightly less than pi.
 transfer_matrix and the diagnostic helpers (center_residual, taylor_samples,
 truncation_leading_term) use plain arithmetic and take every constant in the
 number type of their inputs, so Decimal inputs flow through unchanged:
-run_harmonic folds transfer_matrix in decimal, and the h^6 residual signal
-sits far below float64 cancellation noise for small h omega.
+run_harmonic and discrete_energy_series fold transfer_matrix in decimal,
+and the h^6 residual signal sits far below float64 cancellation noise for
+small h omega.
 """
 
 from __future__ import annotations
@@ -249,6 +250,22 @@ def taylor_samples(q: float, v: float, params: HarmonicParams) -> tuple:
     return (q * even - v * odd, q, q * even + v * odd)
 
 
+def _decimal_start(point: PhasePoint, params: HarmonicParams, n_steps: int) -> tuple:
+    """(a, b, c, p, q): the one-step map and the start of an n_steps fold, in decimal.
+
+    The map is transfer_matrix evaluated on the exact decimal values of m,
+    omega and h, so its coefficients are divided by delta once per run.
+    Float64-rounded coefficients would break a^2 - b c = delta^2 by an ulp,
+    which shows up as a systematic per-step leak of H_d.  Call it in the
+    _FOLD context.
+    """
+    if n_steps < 1:
+        raise ValueError("need at least one step")
+    exact = HarmonicParams(Decimal(params.m), Decimal(params.omega), Decimal(params.h))
+    (a, b), (c, _) = transfer_matrix(exact).phi
+    return a, b, c, Decimal(point.p), Decimal(point.q)
+
+
 def run_harmonic(point: PhasePoint, params: HarmonicParams, n_steps: int) -> Run:
     """Fold the one-step map n_steps times.
 
@@ -256,18 +273,9 @@ def run_harmonic(point: PhasePoint, params: HarmonicParams, n_steps: int) -> Run
     values.  The fold runs in 34-digit decimal arithmetic and rounds once
     per emitted value, so the discrete-energy column is flat to the last bit
     over any horizon the tests care about.
-
-    The map is transfer_matrix evaluated on the exact decimal values of m,
-    omega and h, so its coefficients are divided by delta once per run.
-    Float64-rounded coefficients would break a^2 - b c = delta^2 by an ulp,
-    which shows up as a systematic per-step leak of H_d.
     """
-    if n_steps < 1:
-        raise ValueError("need at least one step")
     with localcontext(_FOLD):
-        exact = HarmonicParams(Decimal(params.m), Decimal(params.omega), Decimal(params.h))
-        (a, b), (c, _) = transfer_matrix(exact).phi
-        p, q = Decimal(point.p), Decimal(point.q)
+        a, b, c, p, q = _decimal_start(point, params, n_steps)
         points = [point]
         energies = [float((c * p * p - b * q * q) / 2)]
         for _ in range(n_steps):
@@ -275,3 +283,18 @@ def run_harmonic(point: PhasePoint, params: HarmonicParams, n_steps: int) -> Run
             points.append(PhasePoint(float(p), float(q)))
             energies.append(float((c * p * p - b * q * q) / 2))
     return Run(points, None, energies)
+
+
+def discrete_energy_series(point: PhasePoint, params: HarmonicParams, n_steps: int) -> list:
+    """run_harmonic's discrete_energies alone, bit for bit.
+
+    For callers that read only H_d, such as the energy drift: the fold skips
+    the two float conversions and the PhasePoint of every step.
+    """
+    with localcontext(_FOLD):
+        a, b, c, p, q = _decimal_start(point, params, n_steps)
+        energies = [float((c * p * p - b * q * q) / 2)]
+        for _ in range(n_steps):
+            p, q = a * p + b * q, c * p + a * q
+            energies.append(float((c * p * p - b * q * q) / 2))
+    return energies

@@ -236,14 +236,15 @@ def nearest_float(v) -> float:
     return -r if v < 0 else r
 
 
-def _sncndn(u: float, k: float) -> tuple:
+def _sncndn(u: float, k: float, kp: float) -> tuple:
     """Jacobi sn, cn, dn at argument u, modulus k in [0, 1), from scratch.
 
-    Descending Landen: run the AGM, seed the amplitude at the smallest
-    modulus, unwind phi_{n-1} = (phi_n + asin((c_n/a_n) sin phi_n)) / 2.
+    kp is the complementary modulus sqrt(1 - k^2).  Descending Landen: run
+    the AGM from (1, kp), seed the amplitude at the smallest modulus, unwind
+    phi_{n-1} = (phi_n + asin((c_n/a_n) sin phi_n)) / 2.
     """
     a = 1.0
-    b = math.sqrt((1.0 - k) * (1.0 + k))
+    b = kp
     c = k
     avals = [a]
     cvals = [c]
@@ -266,8 +267,8 @@ def pendulum_landen(t: float, q0: float, omega: float, m: float) -> PhasePoint:
     """The pendulum released from rest at q0, with every constant rebuilt."""
     k = math.sin(0.5 * q0)
     kp = math.cos(0.5 * q0)
-    u = math.fmod(omega * t, 4.0 * complete_elliptic_K(k))
-    sn, cn, dn = _sncndn(u, k)
+    u = math.fmod(omega * t, 4.0 * complete_elliptic_K(k, kp))
+    sn, cn, dn = _sncndn(u, k, kp)
     q = 2.0 * math.asin(min(1.0, max(-1.0, k * cn / dn)))
     p = -2.0 * m * k * kp * omega * sn / dn
     return PhasePoint(p, q)

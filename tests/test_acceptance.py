@@ -23,6 +23,7 @@ from lobvi.exact import PendulumExact, harmonic_exact, HarmonicExact, pendulum_e
 from lobvi.harmonic import (
     HarmonicParams,
     center_residual,
+    internal_dofs,
     run_harmonic,
     step_harmonic,
     taylor_samples,
@@ -30,6 +31,7 @@ from lobvi.harmonic import (
     truncation_leading_term,
 )
 from lobvi.mechanics import (
+    ElementState,
     PhasePoint,
     StepParams,
     energy,
@@ -37,8 +39,8 @@ from lobvi.mechanics import (
     pendulum_potential,
 )
 from lobvi.midpoint import run_midpoint
-from lobvi.pendulum import run_pendulum, symplecticity_defect
-from lobvi.quadrature import assemble_stiffness, integrate_unit, stiffness_matrix
+from lobvi.pendulum import newton_step_solve, run_pendulum, symplecticity_defect
+from lobvi.quadrature import XI, assemble_stiffness, integrate_unit, interpolate, stiffness_matrix
 
 from oracle import oracle_integrate
 
@@ -272,6 +274,65 @@ def test_pendulum_order_table():
         f"worst {max(rels) * 100:.2f}% off print",
         elapsed,
         5.0,
+    )
+
+
+def _element_errors(elements, exact, h):
+    """Max q error over the elements at the nodes, at the interior stages,
+    and of the cubic interpolant at theta = 1/4 and 1/2."""
+    node = stage = quarter = half = 0.0
+    for j, e in enumerate(elements):
+        t = j * h
+        node = max(node, abs(e.q_r - exact(t + h).q))
+        stage = max(stage, abs(e.q_xi - exact(t + XI * h).q),
+                    abs(e.q_xic - exact(t + (1.0 - XI) * h).q))
+        quarter = max(quarter, abs(interpolate(e, 0.25) - exact(t + 0.25 * h).q))
+        half = max(half, abs(interpolate(e, 0.5) - exact(t + 0.5 * h).q))
+    return node, stage, quarter, half
+
+
+def _pendulum_elements(n):
+    ref = PendulumExact(q0=math.pi / 2.0, omega=W, m=1.0)
+    params = StepParams(m=1.0, h=ref.period / n, potential=pendulum_potential(1.0, W))
+    p, q = pendulum_exact(0.0, ref)
+    elements = []
+    for _ in range(n):
+        (q_xi, q_xic, p, q_next), _ = newton_step_solve(p, q, params)
+        elements.append(ElementState(q, q_xi, q_xic, q_next))
+        q = q_next
+    return _element_errors(elements, lambda t: pendulum_exact(t, ref), params.h)
+
+
+def _oscillator_elements(n):
+    ref = HarmonicExact(amplitude=math.pi / 2.0, omega=W, m=1.0)
+    params = HarmonicParams(m=1.0, omega=W, h=1.0 / n)
+    pts = run_harmonic(harmonic_exact(0.0, ref), params, n).points
+    elements = [ElementState(a.q, *internal_dofs(a.q, b.q, params), b.q)
+                for a, b in zip(pts, pts[1:])]
+    return _element_errors(elements, lambda t: harmonic_exact(t, ref), params.h)
+
+
+def test_superconvergence():
+    # nodes are sixth order, the interior stages of 4-stage Lobatto IIIA
+    # fifth, the cubic through an element's four values fourth.  At
+    # theta = 1/2 the interpolant weighs q_xi and q_xic equally, so
+    # theta = 1/4 is what would see the two exchanged.
+    t0 = perf_counter()
+    want = (6, 5, 4, 4)
+    orders = {}
+    for name, errors, meshes in (("pendulum", _pendulum_elements, (50, 100, 200)),
+                                 ("oscillator", _oscillator_elements, (10, 20, 40))):
+        errs = [errors(n) for n in meshes]
+        orders[name] = [tuple(estimate_order(a, b) for a, b in zip(coarse, fine))
+                        for coarse, fine in zip(errs, errs[1:])]
+    elapsed = perf_counter() - t0
+    report(
+        "superconvergence",
+        all(o == want for rows in orders.values() for o in rows),
+        "orders (nodes, stages, interpolant at 1/4 and 1/2) "
+        + ", ".join(f"{name} {rows}" for name, rows in orders.items()),
+        elapsed,
+        1.0,
     )
 
 

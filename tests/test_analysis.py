@@ -98,6 +98,14 @@ class TestLinfError:
             linf_error(rec, "p")
         with pytest.raises(ValueError):
             linf_error(rec, "H_d")
+        full = make_record(with_hd=True)
+        energies_only = TrajectoryRecord(
+            times=full.times, exact=full.exact, discrete_energies=full.discrete_energies
+        )
+        assert linf_error(energies_only, "H_d") == 0.0
+        for observable in ("p", "q"):
+            with pytest.raises(ValueError, match=r"needs the points sequence$"):
+                linf_error(energies_only, observable)
 
     def test_unknown_observable(self):
         with pytest.raises(ValueError):

@@ -450,6 +450,29 @@ class TestDriftOutput:
         assert code == 0
         assert len(seen) == calls
 
+    def test_harmonic_drift_folds_h_d_without_the_points(self, monkeypatch):
+        def run_cli(args):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code, err = call_main(args)
+            return code, buf.getvalue(), err
+
+        drift = ["drift", "--system", "harmonic", "--periods", "3", "--out", "-"]
+        want = run_cli(drift)
+
+        def no_points(*args):
+            raise AssertionError("run_harmonic called")
+
+        monkeypatch.setattr("lobvi.cli.run_harmonic", no_points)
+        assert want[0] == 0 and run_cli(drift) == want
+        # the midpoint drift reads H from its points, and trajectory prints them
+        code, out, _ = run_cli(["drift", "--system", "harmonic", "--scheme", "midpoint",
+                                "--periods", "2", "--out", "-"])
+        assert code == 0 and out.splitlines()[0] == "# observable: H"
+        assert len(out.splitlines()) == 5
+        with pytest.raises(AssertionError, match="run_harmonic called"):
+            run_cli(["trajectory", "--system", "harmonic", "--out", "-"])
+
     def test_nan_energy_is_printed_not_dropped(self):
         # p * p overflows in the fold, so every H_d is NaN
         buf = io.StringIO()

@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate
@@ -189,9 +191,9 @@ class TestPendulumExact:
     def test_modulus_K_is_computed_once_per_record(self, monkeypatch):
         calls, tables = [], []
 
-        def counted(k):
+        def counted(k, kp=None):
             calls.append(k)
-            return complete_elliptic_K(k)
+            return complete_elliptic_K(k, kp)
 
         landen = PendulumExact.__dict__["landen"]
         build = landen.func
@@ -208,6 +210,35 @@ class TestPendulumExact:
                 pendulum_exact(0.01 * j, params)
         assert len(calls) == 2
         assert tables == records
+
+    @pytest.mark.parametrize(
+        "q0", [1e-8, 0.5, 1.5, math.pi / 2.0, 2.5, 3.0, 3.1, 3.13, 3.14, 3.1415,
+               3.1415926325163688])
+    def test_elliptic_K_against_mpmath_up_to_the_separatrix(self, q0):
+        # k' = cos(q0/2) seeds the AGM: rebuilt as sqrt((1 - k)(1 + k)) it
+        # put K 1.8e-12 off at q0 = 3.14
+        params = PendulumExact(q0=q0, omega=W, m=1.0)
+        with mp.workdps(40):
+            want = mp.ellipk(mp.sin(mp.mpf(q0) / 2) ** 2)
+            assert abs(params.elliptic_K - want) <= 2 * sys.float_info.epsilon * want
+        assert params.elliptic_K == complete_elliptic_K(math.sin(q0 / 2), math.cos(q0 / 2))
+
+    @pytest.mark.parametrize("q0", [3.0, 3.1, 3.13, 3.14])
+    def test_reference_against_mpmath_near_the_separatrix(self, q0):
+        # with K exact, what is left is the Landen unwinding's asin near 1,
+        # which loses about eps / k'^2
+        params = PendulumExact(q0=q0, omega=W, m=1.0)
+        with mp.workdps(30):
+            k, kp = mp.sin(mp.mpf(q0) / 2), mp.cos(mp.mpf(q0) / 2)
+            bound = sys.float_info.epsilon / float(kp) ** 2
+            for j in range(101):
+                t = 3.7 * params.period * j / 100
+                u = params.omega * mp.mpf(t)
+                sn, cn, dn = (mp.ellipfun(f, u, m=k * k) for f in ("sn", "cn", "dn"))
+                got = pendulum_exact(t, params)
+                assert abs(got.q - 2 * mp.asin(k * cn / dn)) <= bound
+                p_scale = 2 * params.m * params.omega
+                assert abs(got.p + p_scale * k * kp * sn / dn) <= bound * p_scale
 
     @given(
         q0=st.floats(0.0, math.pi, exclude_min=True, exclude_max=True).filter(

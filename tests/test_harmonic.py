@@ -15,6 +15,7 @@ from lobvi.harmonic import (
     HarmonicParams,
     center_residual,
     discrete_energy,
+    discrete_energy_series,
     discrete_lagrangian,
     internal_dofs,
     kinetic_form,
@@ -405,8 +406,10 @@ class TestTrajectoryStructure:
     def test_run_shapes(self):
         run = run_harmonic(PhasePoint(0.0, 1.0), TABLE_PARAMS, 7)
         assert len(run.points) == 8 and len(run.discrete_energies) == 8
-        with pytest.raises(ValueError):
-            run_harmonic(PhasePoint(0.0, 1.0), TABLE_PARAMS, 0)
+        assert len(discrete_energy_series(PhasePoint(0.0, 1.0), TABLE_PARAMS, 7)) == 8
+        for fold in (run_harmonic, discrete_energy_series):
+            with pytest.raises(ValueError):
+                fold(PhasePoint(0.0, 1.0), TABLE_PARAMS, 0)
 
 
 class TestFold:
@@ -471,6 +474,23 @@ class TestFold:
                 (bits(pt.p), bits(pt.q)) for pt in ref_pts
             ]
             assert [bits(v) for v in run.discrete_energies] == [bits(v) for v in ref_hds]
+
+    @given(
+        amplitude=st.one_of(lengths, st.floats(-1e200, 1e200)),
+        w=st.floats(0.0, 10.0),
+        m=st.floats(1e-3, 1e3),
+        h=st.one_of(st.floats(-2.0, -1e-6), st.floats(1e-6, 2.0)),
+        n_steps=st.integers(1, 50),
+    )
+    @example(amplitude=math.pi / 2.0, w=1e-300, m=1.0, h=(2.0 * math.pi / 1e-300) / 3, n_steps=3)
+    @example(amplitude=1e200, w=2.0 * math.pi, m=1.0, h=0.1, n_steps=10)
+    @example(amplitude=-1e200, w=2.0 * math.pi, m=1.0, h=-0.1, n_steps=10)
+    def test_energy_series_is_the_folds_energy_column(self, amplitude, w, m, h, n_steps):
+        params = HarmonicParams(m=m, omega=w, h=h)
+        start = PhasePoint(0.0, amplitude)
+        want = run_harmonic(start, params, n_steps).discrete_energies
+        got = discrete_energy_series(start, params, n_steps)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
     def test_huge_step_tiny_frequency_stays_finite(self):
         # three nodes per period at omega = 1e-300: h omega = 2 pi / 3, but
