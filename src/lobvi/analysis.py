@@ -18,29 +18,29 @@ from .harmonic import HarmonicParams, stability_limit, step_harmonic, transfer_m
 from .mechanics import PhasePoint
 
 _OBSERVABLES = ("p", "q", "H", "H_d")
+# the roundoff floor of an error, in ulps of its observable's orbit_scale
+FLOOR_ULPS = 64
 
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """Node-sampled run: times, optional states, exact states and energies.
+    """Node-sampled run: times, states, exact states, H and optional H_d.
 
     discrete_energies is only meaningful for the linear closed-form scheme;
-    leave it None elsewhere.  points is None in a record that holds only
-    energies, such as the oscillator's H_d drift.
+    leave it None elsewhere.
     """
 
     times: tuple
-    points: Optional[tuple] = None
-    exact: Optional[tuple] = None
-    energies: Optional[tuple] = None
+    points: tuple
+    exact: tuple
+    energies: tuple
     discrete_energies: Optional[tuple] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "times", tuple(self.times))
         n = len(self.times)
         if n == 0:
             raise ValueError("empty record")
-        for name in ("points", "exact", "energies", "discrete_energies"):
+        for name in ("times", "points", "exact", "energies", "discrete_energies"):
             val = getattr(self, name)
             if val is not None:
                 object.__setattr__(self, name, tuple(val))
@@ -49,10 +49,6 @@ class TrajectoryRecord:
         for t0, t1 in zip(self.times, self.times[1:]):
             if not t1 > t0:
                 raise ValueError("times must be strictly increasing")
-
-    @property
-    def span(self) -> float:
-        return self.times[-1] - self.times[0]
 
 
 def linf_error(record: TrajectoryRecord, observable: str) -> float:
@@ -65,9 +61,6 @@ def linf_error(record: TrajectoryRecord, observable: str) -> float:
     if observable not in _OBSERVABLES:
         raise ValueError(f"unknown observable {observable!r}")
     if observable in ("p", "q"):
-        for name in ("points", "exact"):
-            if getattr(record, name) is None:
-                raise ValueError(f"observable {observable!r} needs the {name} sequence")
         pick = (lambda pt: pt.p) if observable == "p" else (lambda pt: pt.q)
         errs = [abs(pick(a) - pick(b)) for a, b in zip(record.points, record.exact)]
     else:
@@ -79,14 +72,26 @@ def linf_error(record: TrajectoryRecord, observable: str) -> float:
     return math.nan if any(map(math.isnan, errs)) else max(errs)
 
 
-def estimate_order(err_coarse: float, err_fine: float) -> int:
+def orbit_scale(record: TrajectoryRecord, observable: str) -> float:
+    """Size of p, q or H on the exact orbit: max |p| or max |q| over the
+    exact nodes, or |H0|, the first energy."""
+    if observable == "H":
+        return abs(record.energies[0])
+    return max(abs(pt.p if observable == "p" else pt.q) for pt in record.exact)
+
+
+def estimate_order(err_coarse: float, err_fine: float, scale: float = 0.0) -> Optional[int]:
     """Closest integer to log2 of the error ratio between meshes N and 2N.
 
     An error that is zero, subnormal or not finite has no ratio to read.
+    One at or below FLOOR_ULPS * eps * scale, where scale is the observable's
+    orbit_scale, is roundoff: the pair gives no order, None.
     """
     for e in (err_coarse, err_fine):
         if not (isinstance(e, (int, float)) and math.isfinite(e) and e >= sys.float_info.min):
             raise ValueError(f"degenerate error value {e!r}")
+    if min(err_coarse, err_fine) <= FLOOR_ULPS * sys.float_info.epsilon * scale:
+        return None
     return round(math.log2(err_coarse / err_fine))
 
 
@@ -95,8 +100,9 @@ class ConvergenceTable:
     """Per-mesh infinity errors with integer orders between successive rows.
 
     Mesh counts must double row to row; order tuples have one entry per
-    doubling (len(meshes) - 1 values).  err_Hd is None for the schemes
-    without a conserved discrete energy.
+    doubling (len(meshes) - 1 values), None where an error is at the
+    roundoff floor.  err_Hd is None for the schemes without a conserved
+    discrete energy.
     """
 
     meshes: tuple
@@ -131,8 +137,12 @@ def convergence_table(
     err_q: Sequence[float],
     err_H: Sequence[float],
     err_Hd: Optional[Sequence[float]] = None,
+    scales: Optional[dict] = None,
 ) -> ConvergenceTable:
     """Assemble a table from measured errors, estimating all orders.
+
+    `scales` maps p, q and H to their orbit_scale; an observable left out
+    has no roundoff floor.
 
     A degenerate error raises estimate_order's ValueError with `observable`
     (p, q or H) and `meshes`, the mesh pair of the failed order, set.  H goes
@@ -140,12 +150,13 @@ def convergence_table(
     more plainly than the subnormal p or q errors beside it.
     """
     meshes = tuple(int(n) for n in meshes)
+    scales = scales or {}
 
     def orders(observable, errs):
         out = []
         for pair, a, b in zip(zip(meshes, meshes[1:]), errs, errs[1:]):
             try:
-                out.append(estimate_order(a, b))
+                out.append(estimate_order(a, b, scales.get(observable, 0.0)))
             except ValueError as exc:
                 exc.observable, exc.meshes = observable, pair
                 raise
@@ -164,45 +175,41 @@ def convergence_table(
     )
 
 
-def energy_drift_series(record: TrajectoryRecord, window: int) -> tuple:
+def energy_drift_series(energies: Sequence[float], periods: int) -> tuple:
     """Running energy-error maxima per period, plus a linear growth rate.
 
-    The record is treated as spanning `window` equal periods.  Returns
-    (series, rate) where series holds (period index, running max |E - E0|)
-    pairs and rate is their OLS slope (the last maximum if that is inf or
-    NaN).  The energy is H_d when the record has one, else H.
+    `energies` holds one value per node of a fixed-step run over `periods`
+    equal periods, so period i ends at node i * (len(energies) - 1) // periods.
+    Returns (series, rate) where series holds (period index, running max
+    |E - E0|) pairs and rate is their OLS slope (the last maximum if that
+    is inf or NaN).
     """
-    if window < 1:
-        raise ValueError("window must cover at least one period")
-    series = record.energies if record.discrete_energies is None else record.discrete_energies
-    if series is None:
-        raise ValueError("record has neither H_d nor H")
-
-    t0 = record.times[0]
-    period = record.span / window
-    ref = series[0]
+    if periods < 1:
+        raise ValueError("periods must be at least 1")
+    if not energies:
+        raise ValueError("no energies to track")
+    ref = energies[0]
+    last = len(energies) - 1
     running = 0.0
     out = []
     j = 0
-    n = len(record.times)
-    for i in range(1, window + 1):
-        # last bucket takes everything left so edge roundoff cannot drop it
-        t_end = record.times[-1] if i == window else t0 + i * period
-        while j < n and record.times[j] <= t_end + 1e-9 * period:
-            err = abs(series[j] - ref)
+    for i in range(1, periods + 1):
+        end = i * last // periods
+        for v in energies[j:end + 1]:
+            err = abs(v - ref)
             # max(running, nan) drops the NaN, but max(nan, err) keeps it
             running = err if math.isnan(err) else max(running, err)
-            j += 1
+        j = end + 1
         out.append((i, running))
-    if window < 2:
+    if periods < 2:
         rate = 0.0
     elif not math.isfinite(running):  # an early inf makes fsum raise on -inf + inf
         rate = running
     else:
-        # closed-form OLS slope over the indices 1..window: the centred
+        # closed-form OLS slope over the indices 1..periods: the centred
         # indices sum to zero, so the mean of the series drops out
-        mid = (window + 1) / 2.0
-        spread = window * (window * window - 1) / 12.0
+        mid = (periods + 1) / 2.0
+        spread = periods * (periods * periods - 1) / 12.0
         rate = math.fsum((i - mid) * v for i, v in out) / spread
     return out, rate
 

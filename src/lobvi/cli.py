@@ -23,6 +23,7 @@ from .analysis import (
     convergence_table,
     energy_drift_series,
     linf_error,
+    orbit_scale,
     stability_scan,
 )
 from .exact import HarmonicExact, PendulumExact, harmonic_exact, pendulum_exact
@@ -221,7 +222,7 @@ def _read_config_file(path: str, command: str) -> dict:
             raw_lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
-    values = {}
+    values, first_line = {}, {}
     for lineno, raw in enumerate(raw_lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -233,6 +234,10 @@ def _read_config_file(path: str, command: str) -> dict:
         if key not in _KEYS[command]:
             why = "unknown key" if key not in _OPTIONS else f"{command} takes no key"
             raise ConfigError(f"{path}:{lineno}: {why} {key!r}")
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: repeated key {key!r} "
+                              f"(first at line {first_line[key]})")
+        first_line[key] = lineno
         values[key] = (val, f"{path}:{lineno}")
     return values
 
@@ -282,32 +287,31 @@ def parse_config(argv: Sequence[str]) -> ExperimentConfig:
     )
 
 
-def _simulate(config: ExperimentConfig, mesh: int) -> TrajectoryRecord:
-    """Run `config.periods` periods of `mesh` steps each and record every node."""
-    ref, step = config.reference, config.steps[mesh]
-    exact = harmonic_exact if config.system == "harmonic" else pendulum_exact
-    n = mesh * config.periods
-    start = exact(0.0, ref)
-    times = tuple(j * step.h for j in range(n + 1))
-    drift = config.command == "drift"
-
+def _stepper(config: ExperimentConfig, mesh: int) -> tuple:
+    """The stepper of the config's system and scheme, and its arguments for
+    `config.periods` periods of `mesh` steps each from the exact start."""
+    step = config.steps[mesh]
     if config.scheme == "midpoint":
         stepper, params = run_midpoint, step
     elif config.system == "pendulum":
         stepper, params = run_pendulum, step
     else:
         stepper, params = run_harmonic, HarmonicParams(m=step.m, omega=config.omega, h=step.h)
-        if drift:
-            # the oscillator's drift reads only H_d, so fold it without the points
-            return TrajectoryRecord(times=times,
-                                    discrete_energies=discrete_energy_series(start, params, n))
-    run = stepper(start, params, n)
+    exact = harmonic_exact if config.system == "harmonic" else pendulum_exact
+    return stepper, (exact(0.0, config.reference), params, mesh * config.periods)
 
+
+def _simulate(config: ExperimentConfig, mesh: int) -> TrajectoryRecord:
+    """Run `config.periods` periods of `mesh` steps each and record every node."""
+    ref, step = config.reference, config.steps[mesh]
+    exact = harmonic_exact if config.system == "harmonic" else pendulum_exact
+    stepper, args = _stepper(config, mesh)
+    run = stepper(*args)
+    times = tuple(j * step.h for j in range(len(run.points)))
     return TrajectoryRecord(
         times=times,
         points=run.points,
-        # drift reads only the energies
-        exact=None if drift else tuple(exact(t, ref) for t in times),
+        exact=tuple(exact(t, ref) for t in times),
         energies=tuple(energy(pt, step.potential, step.m) for pt in run.points),
         discrete_energies=run.discrete_energies,
     )
@@ -333,9 +337,11 @@ def _convergence_lines(config: ExperimentConfig) -> tuple:
             errs[obs].append(linf_error(record, obs))
         if record.discrete_energies is not None:
             errs["H_d"].append(linf_error(record, "H_d"))
+    # the finest mesh samples the exact orbit most densely
+    scales = {obs: orbit_scale(record, obs) for obs in ("p", "q", "H")}
     try:
         table = convergence_table(
-            config.meshes, errs["p"], errs["q"], errs["H"], errs["H_d"] or None,
+            config.meshes, errs["p"], errs["q"], errs["H"], errs["H_d"] or None, scales,
         )
     except ValueError as exc:
         a, b = exc.meshes
@@ -348,16 +354,24 @@ def _convergence_lines(config: ExperimentConfig) -> tuple:
         if i == 0:
             cells += ["", "", ""]
         else:
-            cells += [str(table.order_p[i - 1]), str(table.order_q[i - 1]),
-                      str(table.order_H[i - 1])]
+            # an order at the roundoff floor is None: its cell stays empty
+            orders = (table.order_p[i - 1], table.order_q[i - 1], table.order_H[i - 1])
+            cells += ["" if o is None else str(o) for o in orders]
         lines.append(",".join(cells))
-    return lines, f"orders p={table.order_p} q={table.order_q} H={table.order_H}"
+    summary = f"orders p={table.order_p} q={table.order_q} H={table.order_H}"
+    return lines, summary.replace("None", "floor")
 
 
 def _drift_lines(config: ExperimentConfig) -> tuple:
-    record = _simulate(config, config.meshes[0])
-    series, rate = energy_drift_series(record, config.periods)
-    observable = "H_d" if record.discrete_energies is not None else "H"
+    step = config.steps[config.meshes[0]]
+    stepper, args = _stepper(config, config.meshes[0])
+    if stepper is run_harmonic:
+        # the oscillator's Lobatto scheme conserves H_d: fold it without the points
+        observable, energies = "H_d", discrete_energy_series(*args)
+    else:
+        observable = "H"
+        energies = [energy(pt, step.potential, step.m) for pt in stepper(*args).points]
+    series, rate = energy_drift_series(energies, config.periods)
     lines = [
         f"# observable: {observable}",
         f"# rate: {_FMT(rate)} per period (ols slope of running max)",

@@ -2,6 +2,9 @@
 the step, and the oscillator fold in double-double and in 50-digit arithmetic.
 `pendulum_landen` rebuilds the pendulum reference's Landen descent at every
 call, so the tests can check the record's cached table against it.
+`drift_by_time` cuts a drift's periods by node time, an independent split
+that the node-index split of `energy_drift_series` must reproduce on
+uniform grids.
 
 A classical fourth-order one-step method that shares nothing with the
 variational schemes: no element structure, no implicit solve, no elliptic
@@ -272,3 +275,35 @@ def pendulum_landen(t: float, q0: float, omega: float, m: float) -> PhasePoint:
     q = 2.0 * math.asin(min(1.0, max(-1.0, k * cn / dn)))
     p = -2.0 * m * k * kp * omega * sn / dn
     return PhasePoint(p, q)
+
+
+def drift_by_time(times, energies, window: int) -> tuple:
+    """Running |E - E0| maxima per period, with the periods cut by time.
+
+    Period i ends at the last node whose time is within 1e-9 periods of
+    t0 + i * span / window; the last period takes every node left.
+    Returns (series, rate) as `lobvi.analysis.energy_drift_series` does.
+    """
+    t0 = times[0]
+    period = (times[-1] - t0) / window
+    ref = energies[0]
+    running = 0.0
+    out = []
+    j = 0
+    n = len(times)
+    for i in range(1, window + 1):
+        t_end = times[-1] if i == window else t0 + i * period
+        while j < n and times[j] <= t_end + 1e-9 * period:
+            err = abs(energies[j] - ref)
+            running = err if math.isnan(err) else max(running, err)
+            j += 1
+        out.append((i, running))
+    if window < 2:
+        rate = 0.0
+    elif not math.isfinite(running):
+        rate = running
+    else:
+        mid = (window + 1) / 2.0
+        spread = window * (window * window - 1) / 12.0
+        rate = math.fsum((i - mid) * v for i, v in out) / spread
+    return out, rate

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lobvi.analysis import (
+    FLOOR_ULPS,
     ConvergenceTable,
     StabilityScan,
     TrajectoryRecord,
@@ -14,19 +16,23 @@ from lobvi.analysis import (
     estimate_order,
     linf_error,
     map_jacobian_determinant,
+    orbit_scale,
     stability_scan,
 )
+from lobvi.exact import HarmonicExact, harmonic_exact
 from lobvi.harmonic import HarmonicParams, run_harmonic, step_harmonic, transfer_matrix
-from lobvi.mechanics import PhasePoint
+from lobvi.mechanics import PhasePoint, energy, harmonic_potential
+
+from oracle import drift_by_time
 
 W = 2.0 * math.pi
 
 
-def make_record(n=5, with_exact=True, with_h=True, with_hd=False):
+def make_record(n=5, with_hd=False):
     times = [0.1 * j for j in range(n)]
     points = [PhasePoint(float(j), -float(j)) for j in range(n)]
-    exact = [PhasePoint(float(j) + 0.01 * j, -float(j)) for j in range(n)] if with_exact else None
-    energies = [2.0 + 0.001 * j for j in range(n)] if with_h else None
+    exact = [PhasePoint(float(j) + 0.01 * j, -float(j)) for j in range(n)]
+    energies = [2.0 + 0.001 * j for j in range(n)]
     hd = [5.0 for _ in range(n)] if with_hd else None
     return TrajectoryRecord(
         times=times, points=points, exact=exact, energies=energies, discrete_energies=hd
@@ -35,37 +41,38 @@ def make_record(n=5, with_exact=True, with_h=True, with_hd=False):
 
 class TestTrajectoryRecord:
     def test_coerces_to_tuples(self):
-        rec = make_record()
-        assert isinstance(rec.times, tuple)
-        assert isinstance(rec.points, tuple)
-        assert rec.span == pytest.approx(0.4)
+        rec = make_record(with_hd=True)
+        for name in ("times", "points", "exact", "energies", "discrete_energies"):
+            assert isinstance(getattr(rec, name), tuple)
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            TrajectoryRecord(times=[0.0, 0.1], points=[PhasePoint(0.0, 0.0)])
+        with pytest.raises(ValueError, match="points length"):
+            TrajectoryRecord(times=[0.0, 0.1], points=[PhasePoint(0.0, 0.0)],
+                             exact=[PhasePoint(0.0, 0.0)] * 2, energies=[1.0, 1.0])
 
     def test_rejects_mismatched_series(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="energies length"):
             TrajectoryRecord(
                 times=[0.0, 0.1],
                 points=[PhasePoint(0.0, 0.0)] * 2,
+                exact=[PhasePoint(0.0, 0.0)] * 2,
                 energies=[1.0],
             )
 
     def test_rejects_nonincreasing_times(self):
-        with pytest.raises(ValueError):
-            TrajectoryRecord(
-                times=[0.0, 0.0], points=[PhasePoint(0.0, 0.0)] * 2
-            )
+        with pytest.raises(ValueError, match="increasing"):
+            TrajectoryRecord(times=[0.0, 0.0], points=[PhasePoint(0.0, 0.0)] * 2,
+                             exact=[PhasePoint(0.0, 0.0)] * 2, energies=[1.0, 1.0])
 
 
 class TestLinfError:
     def test_zero_when_exact(self):
         times = [0.0, 1.0]
         pts = [PhasePoint(1.0, 2.0), PhasePoint(3.0, 4.0)]
-        rec = TrajectoryRecord(times=times, points=pts, exact=pts)
+        rec = TrajectoryRecord(times=times, points=pts, exact=pts, energies=[1.0, 1.0])
         assert linf_error(rec, "p") == 0.0
         assert linf_error(rec, "q") == 0.0
+        assert linf_error(rec, "H") == 0.0
 
     def test_takes_the_maximum(self):
         rec = make_record()
@@ -93,23 +100,21 @@ class TestLinfError:
         assert linf_error(rec, "q") == 0.0
 
     def test_missing_series_raises(self):
-        rec = make_record(with_exact=False)
-        with pytest.raises(ValueError):
-            linf_error(rec, "p")
-        with pytest.raises(ValueError):
-            linf_error(rec, "H_d")
-        full = make_record(with_hd=True)
-        energies_only = TrajectoryRecord(
-            times=full.times, exact=full.exact, discrete_energies=full.discrete_energies
-        )
-        assert linf_error(energies_only, "H_d") == 0.0
-        for observable in ("p", "q"):
-            with pytest.raises(ValueError, match=r"needs the points sequence$"):
-                linf_error(energies_only, observable)
+        with pytest.raises(ValueError, match="'H_d' not present in the record"):
+            linf_error(make_record(), "H_d")
+        assert linf_error(make_record(with_hd=True), "H_d") == 0.0
 
     def test_unknown_observable(self):
         with pytest.raises(ValueError):
             linf_error(make_record(), "momentum")
+
+
+class TestOrbitScale:
+    def test_largest_exact_coordinate_and_first_energy(self):
+        rec = make_record()
+        assert orbit_scale(rec, "p") == pytest.approx(4.04)
+        assert orbit_scale(rec, "q") == 4.0
+        assert orbit_scale(rec, "H") == 2.0
 
 
 class TestEstimateOrder:
@@ -143,6 +148,18 @@ class TestEstimateOrder:
         tiny = sys.float_info.min
         assert estimate_order(64.0 * tiny, tiny) == 6
 
+    def test_error_at_the_roundoff_floor_gives_no_order(self):
+        # FLOOR_ULPS ulps of the observable's scale, 48.7 like the oscillator's H0
+        floor = FLOOR_ULPS * sys.float_info.epsilon * 48.7
+        above = math.nextafter(floor, math.inf)
+        assert estimate_order(64.0 * floor, floor, scale=48.7) is None
+        assert estimate_order(floor, 64.0 * floor, scale=48.7) is None
+        assert estimate_order(64.0 * above, above, scale=48.7) == 6
+        assert estimate_order(64.0 * floor, floor) == 6
+        # degenerate errors still raise, floor or not
+        with pytest.raises(ValueError, match="degenerate"):
+            estimate_order(1.0, 0.0, scale=48.7)
+
 
 class TestConvergenceTable:
     def test_builder_computes_orders(self):
@@ -156,6 +173,17 @@ class TestConvergenceTable:
         assert table.order_q == (6, 6)
         assert table.order_H == (6, 6)
         assert table.err_Hd is None
+
+    def test_floor_orders_are_none(self):
+        # H sits at a few ulps of its scale; p and q are far above theirs
+        eps = sys.float_info.epsilon
+        good = (64.0e-6, 1.0e-6, 1.0e-6 / 64.0)
+        table = convergence_table(
+            meshes=(10, 20, 40), err_p=good, err_q=good,
+            err_H=(1.3 * 48.7 * eps, 0.7 * 48.7 * eps, 3.3 * 48.7 * eps),
+            scales={"p": 10.0, "q": 1.6, "H": 48.7},
+        )
+        assert (table.order_p, table.order_q, table.order_H) == ((6, 6), (6, 6), (None, None))
 
     def test_requires_doubling_meshes(self):
         with pytest.raises(ValueError):
@@ -197,45 +225,24 @@ class TestConvergenceTable:
 
 class TestEnergyDriftSeries:
     def test_constant_energy_gives_zero_rate(self):
-        times = [0.01 * j for j in range(401)]
-        pts = [PhasePoint(0.0, 0.0)] * 401
-        rec = TrajectoryRecord(times=times, points=pts, energies=[3.0] * 401)
-        series, rate = energy_drift_series(rec, window=4)
+        series, rate = energy_drift_series([3.0] * 401, periods=4)
         assert [v for _, v in series] == [0.0, 0.0, 0.0, 0.0]
         assert rate == 0.0
 
     def test_linear_growth_is_recovered(self):
         g = 2.5e-7
-        n, window = 400, 8
-        times = [0.01 * j for j in range(n + 1)]
-        pts = [PhasePoint(0.0, 0.0)] * (n + 1)
-        energies = [1.0 + g * t for t in times]
-        rec = TrajectoryRecord(times=times, points=pts, energies=energies)
-        series, rate = energy_drift_series(rec, window=window)
-        per_period = g * (times[-1] / window)
+        n, periods = 400, 8
+        energies = [1.0 + g * 0.01 * j for j in range(n + 1)]
+        series, rate = energy_drift_series(energies, periods=periods)
+        per_period = g * (0.01 * n / periods)
         assert abs(rate - per_period) <= 1e-3 * per_period
-
-    def test_prefers_discrete_energy_when_present(self):
-        times = [0.0, 0.5, 1.0]
-        pts = [PhasePoint(0.0, 0.0)] * 3
-        rec = TrajectoryRecord(
-            times=times,
-            points=pts,
-            energies=[1.0, 2.0, 3.0],
-            discrete_energies=[4.0, 4.0, 4.0],
-        )
-        series, _ = energy_drift_series(rec, window=1)
-        assert series == [(1, 0.0)]
 
     @pytest.mark.parametrize("at", [0, 150], ids=["reference", "mid-run"])
     def test_nan_energy_reaches_running_max_and_rate(self, at):
         # one NaN entry, finite again after it: the running max keeps the NaN
-        times = [0.01 * j for j in range(401)]
         energies = [3.0] * 401
         energies[at] = math.nan
-        pts = [PhasePoint(0.0, 0.0)] * 401
-        rec = TrajectoryRecord(times=times, points=pts, energies=energies)
-        series, rate = energy_drift_series(rec, window=4)
+        series, rate = energy_drift_series(energies, periods=4)
         want = [True] * 4 if at == 0 else [False, True, True, True]
         assert [math.isnan(v) for _, v in series] == want
         assert [v for _, v in series if not math.isnan(v)] == [0.0] * want.count(False)
@@ -244,12 +251,7 @@ class TestEnergyDriftSeries:
     @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
     def test_non_finite_running_max_is_the_rate(self, bad):
         # an inf in the first half used to put -inf and +inf into the OLS sum
-        rec = TrajectoryRecord(
-            times=[0.0, 1.0, 2.0, 3.0, 4.0],
-            points=[PhasePoint(0.0, 0.0)] * 5,
-            energies=[1.0, bad, bad, bad, bad],
-        )
-        series, rate = energy_drift_series(rec, window=4)
+        series, rate = energy_drift_series([1.0, bad, bad, bad, bad], periods=4)
         assert [i for i, _ in series] == [1, 2, 3, 4]
         if math.isnan(bad):
             assert all(math.isnan(v) for _, v in series) and math.isnan(rate)
@@ -257,18 +259,50 @@ class TestEnergyDriftSeries:
             assert [v for _, v in series] == [math.inf] * 4 and rate == math.inf
 
     def test_single_window_rate_is_zero(self):
-        rec = make_record()
-        _, rate = energy_drift_series(rec, window=1)
+        _, rate = energy_drift_series(make_record().energies, periods=1)
         assert rate == 0.0
 
     def test_window_validation(self):
-        with pytest.raises(ValueError):
-            energy_drift_series(make_record(), window=0)
+        with pytest.raises(ValueError, match="periods must be at least 1"):
+            energy_drift_series(make_record().energies, periods=0)
 
     def test_missing_series_raises(self):
-        rec = make_record(with_h=False)
-        with pytest.raises(ValueError):
-            energy_drift_series(rec, window=1)
+        with pytest.raises(ValueError, match="no energies"):
+            energy_drift_series([], periods=1)
+
+    def test_uneven_split_ends_at_the_floor_node(self):
+        # 11 nodes over 3 periods, as a fixed step that does not divide the
+        # period: the periods end at nodes 10 // 3, 20 // 3 and 10
+        energies = [float(j) for j in range(11)]
+        want = [(1, 3.0), (2, 6.0), (3, 10.0)]
+        assert energy_drift_series(energies, periods=3)[0] == want
+        assert drift_by_time([0.1 * j for j in range(11)], energies, 3)[0] == want
+
+    @given(
+        mesh=st.integers(2, 200),
+        periods=st.integers(1, 50),
+        short=st.integers(0, 199),
+        h=st.floats(1e-6, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+        specials=st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.sampled_from([math.nan, math.inf, -math.inf])),
+            max_size=3,
+        ),
+    )
+    def test_index_split_matches_the_time_split(self, mesh, periods, short, h, seed, specials):
+        # uniform grids t = j h, a whole number of steps per period or fewer
+        steps = mesh * periods - short % mesh
+        rng = random.Random(seed)
+        # a growing error is a new maximum at every node, so a node moved
+        # across a period end changes that period's maximum
+        energies = [1.0]
+        for _ in range(steps):
+            energies.append(energies[-1] + rng.uniform(1e-9, 1e-6))
+        for at, value in specials:
+            energies[round(at * steps)] = value
+        times = [j * h for j in range(steps + 1)]
+        want = drift_by_time(times, energies, periods)
+        assert repr(energy_drift_series(energies, periods)) == repr(want)
 
 
 class TestStabilityScan:
@@ -338,10 +372,18 @@ class TestMapJacobianDeterminant:
 
 class TestRunHarmonicRecordIntegration:
     def test_build_record_from_run(self):
+        ref = HarmonicExact(amplitude=math.pi / 2.0, omega=W, m=1.0)
+        pot = harmonic_potential(1.0, W)
         params = HarmonicParams(m=1.0, omega=W, h=0.1)
-        run = run_harmonic(PhasePoint(0.0, math.pi / 2.0), params, 10)
+        run = run_harmonic(harmonic_exact(0.0, ref), params, 10)
         times = [0.1 * j for j in range(11)]
         rec = TrajectoryRecord(
-            times=times, points=run.points, discrete_energies=run.discrete_energies
+            times=times,
+            points=run.points,
+            exact=[harmonic_exact(t, ref) for t in times],
+            energies=[energy(pt, pot, 1.0) for pt in run.points],
+            discrete_energies=run.discrete_energies,
         )
         assert linf_error(rec, "H_d") <= 5e-15
+        # Table 1's q error at h = 0.1
+        assert linf_error(rec, "q") == pytest.approx(7.64034e-7, rel=0.02)

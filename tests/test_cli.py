@@ -129,6 +129,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=rf"{path}:2"):
             parse_config(["trajectory", "--config", str(path)])
 
+    def test_repeated_key_is_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("periods = 2\n# comment\nperiods = 3\n")
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code, err = call_main(["drift", "--config", str(path), "--out", "-"])
+        assert code == 2
+        assert err == f"config error: {path}:3: repeated key 'periods' (first at line 1)\n"
+        assert buf.getvalue() == ""
+
     def test_malformed_line_is_located(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("system harmonic\n")
@@ -349,6 +359,16 @@ class TestConvergenceOutput:
         assert all(r[4] == "" for r in rows)
         assert rows[1][5] == "2"
 
+    def test_orders_at_the_roundoff_floor_are_empty(self, tmp_path):
+        # the midpoint rule conserves the oscillator's quadratic energy, so its
+        # H errors are a few ulps of H0: no order is read from them
+        out = tmp_path / "c.csv"
+        code, err = call_main(["convergence", "--scheme", "midpoint", "--out", str(out)])
+        assert code == 0
+        _, rows = read_rows(out)
+        assert [r[5:] for r in rows] == [["", "", ""], ["2", "2", ""], ["2", "2", ""]]
+        assert err == f"convergence: orders p=(2, 2) q=(2, 2) H=(floor, floor) -> {out}\n"
+
     def test_cells_match_trajectory_recomputation(self, tmp_path):
         """The convergence errors must be byte-identical to what the published
         trajectory file implies: parse one, recompute the three infinity
@@ -472,6 +492,20 @@ class TestDriftOutput:
         assert len(out.splitlines()) == 5
         with pytest.raises(AssertionError, match="run_harmonic called"):
             run_cli(["trajectory", "--system", "harmonic", "--out", "-"])
+
+    @pytest.mark.parametrize("system", ["harmonic", "pendulum"])
+    @pytest.mark.parametrize("scheme", ["lobatto", "midpoint"])
+    def test_drift_builds_no_record(self, monkeypatch, system, scheme):
+        def no_record(**fields):
+            raise AssertionError("TrajectoryRecord built")
+
+        monkeypatch.setattr("lobvi.cli.TrajectoryRecord", no_record)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code, err = call_main(["drift", "--system", system, "--scheme", scheme,
+                                   "--periods", "2", "--out", "-"])
+        assert code == 0, err
+        assert [row.split(",")[0] for row in buf.getvalue().splitlines()[3:]] == ["1", "2"]
 
     def test_nan_energy_is_printed_not_dropped(self):
         # p * p overflows in the fold, so every H_d is NaN
