@@ -9,7 +9,6 @@ round out the package.
 """
 
 from .analysis import (
-    ConvergenceTable,
     StabilityScan,
     TrajectoryRecord,
     convergence_table,

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .harmonic import HarmonicParams, stability_limit, step_harmonic, transfer_matrix
+from .harmonic import HarmonicParams, step_harmonic, transfer_matrix
 from .mechanics import PhasePoint
 
 _OBSERVABLES = ("p", "q", "H", "H_d")
@@ -95,84 +95,39 @@ def estimate_order(err_coarse: float, err_fine: float, scale: float = 0.0) -> Op
     return round(math.log2(err_coarse / err_fine))
 
 
-@dataclass(frozen=True)
-class ConvergenceTable:
-    """Per-mesh infinity errors with integer orders between successive rows.
+def convergence_table(meshes: Sequence[int], errors: dict, scales: dict) -> dict:
+    """Integer orders between successive meshes, one tuple per observable.
 
-    Mesh counts must double row to row; order tuples have one entry per
-    doubling (len(meshes) - 1 values), None where an error is at the
-    roundoff floor.  err_Hd is None for the schemes without a conserved
-    discrete energy.
-    """
-
-    meshes: tuple
-    err_p: tuple
-    err_q: tuple
-    err_H: tuple
-    err_Hd: Optional[tuple]
-    order_p: tuple
-    order_q: tuple
-    order_H: tuple
-
-    def __post_init__(self):
-        n = len(self.meshes)
-        if n < 2:
-            raise ValueError("need at least two meshes")
-        for a, b in zip(self.meshes, self.meshes[1:]):
-            if b != 2 * a:
-                raise ValueError(f"mesh counts must double: {a} then {b}")
-        for name in ("err_p", "err_q", "err_H"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"{name} length mismatch")
-        if self.err_Hd is not None and len(self.err_Hd) != n:
-            raise ValueError("err_Hd length mismatch")
-        for name in ("order_p", "order_q", "order_H"):
-            if len(getattr(self, name)) != n - 1:
-                raise ValueError(f"{name} needs one entry per doubling")
-
-
-def convergence_table(
-    meshes: Sequence[int],
-    err_p: Sequence[float],
-    err_q: Sequence[float],
-    err_H: Sequence[float],
-    err_Hd: Optional[Sequence[float]] = None,
-    scales: Optional[dict] = None,
-) -> ConvergenceTable:
-    """Assemble a table from measured errors, estimating all orders.
-
-    `scales` maps p, q and H to their orbit_scale; an observable left out
-    has no roundoff floor.
+    `errors` maps each observable to one error per mesh, and `scales` maps
+    each observable that gets orders to its orbit_scale, in the order they
+    are estimated.  Mesh counts must double row to row.  Each tuple holds one
+    order per doubling, None where an error is at the roundoff floor.
 
     A degenerate error raises estimate_order's ValueError with `observable`
-    (p, q or H) and `meshes`, the mesh pair of the failed order, set.  H goes
-    first: at a tiny amplitude its error is exactly 0, which names the cause
-    more plainly than the subnormal p or q errors beside it.
+    and `meshes`, the mesh pair of the failed order, set.  Put H first in
+    `scales`: at a tiny amplitude its error is exactly 0, which names the
+    cause more plainly than the subnormal p or q errors beside it.
     """
-    meshes = tuple(int(n) for n in meshes)
-    scales = scales or {}
-
-    def orders(observable, errs):
-        out = []
-        for pair, a, b in zip(zip(meshes, meshes[1:]), errs, errs[1:]):
+    pairs = tuple(zip(meshes, meshes[1:]))
+    if not pairs:
+        raise ValueError("need at least two meshes")
+    for a, b in pairs:
+        if b != 2 * a:
+            raise ValueError(f"mesh counts must double: {a} then {b}")
+    for observable in scales:
+        if len(errors[observable]) != len(meshes):
+            raise ValueError(f"{observable} needs one error per mesh")
+    orders = {}
+    for observable, scale in scales.items():
+        errs, out = errors[observable], []
+        for pair, a, b in zip(pairs, errs, errs[1:]):
             try:
-                out.append(estimate_order(a, b, scales.get(observable, 0.0)))
+                out.append(estimate_order(a, b, scale))
             except ValueError as exc:
                 exc.observable, exc.meshes = observable, pair
                 raise
-        return tuple(out)
-
-    order_H = orders("H", tuple(err_H))
-    return ConvergenceTable(
-        meshes=meshes,
-        err_p=tuple(err_p),
-        err_q=tuple(err_q),
-        err_H=tuple(err_H),
-        err_Hd=None if err_Hd is None else tuple(err_Hd),
-        order_p=orders("p", tuple(err_p)),
-        order_q=orders("q", tuple(err_q)),
-        order_H=order_H,
-    )
+        orders[observable] = tuple(out)
+    return orders
 
 
 def energy_drift_series(energies: Sequence[float], periods: int) -> tuple:

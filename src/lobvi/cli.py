@@ -220,7 +220,7 @@ def _read_config_file(path: str, command: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             raw_lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     values, first_line = {}, {}
     for lineno, raw in enumerate(raw_lines, start=1):
@@ -330,35 +330,27 @@ def _trajectory_lines(config: ExperimentConfig) -> tuple:
 
 
 def _convergence_lines(config: ExperimentConfig) -> tuple:
-    errs = {"p": [], "q": [], "H": [], "H_d": []}
+    errs = {}
     for n in config.meshes:
         record = _simulate(config, n)
-        for obs in ("p", "q", "H"):
-            errs[obs].append(linf_error(record, obs))
-        if record.discrete_energies is not None:
-            errs["H_d"].append(linf_error(record, "H_d"))
-    # the finest mesh samples the exact orbit most densely
-    scales = {obs: orbit_scale(record, obs) for obs in ("p", "q", "H")}
+        for obs in ("p", "q", "H", "H_d")[:3 if record.discrete_energies is None else 4]:
+            errs.setdefault(obs, []).append(linf_error(record, obs))
+    # H goes first, to be named before p and q; the finest mesh samples the
+    # exact orbit most densely
+    scales = {obs: orbit_scale(record, obs) for obs in ("H", "p", "q")}
     try:
-        table = convergence_table(
-            config.meshes, errs["p"], errs["q"], errs["H"], errs["H_d"] or None, scales,
-        )
+        orders = convergence_table(config.meshes, errs, scales)
     except ValueError as exc:
         a, b = exc.meshes
         raise ConfigError(f"no {exc.observable} order from meshes {a} and {b}: {exc}") from None
     lines = ["meshes,err_p,err_q,err_H,err_Hd,order_p,order_q,order_H"]
-    for i, n in enumerate(table.meshes):
-        cells = [str(n), _FMT(table.err_p[i]), _FMT(table.err_q[i]),
-                 _FMT(table.err_H[i]),
-                 _FMT(table.err_Hd[i]) if table.err_Hd is not None else ""]
-        if i == 0:
-            cells += ["", "", ""]
-        else:
-            # an order at the roundoff floor is None: its cell stays empty
-            orders = (table.order_p[i - 1], table.order_q[i - 1], table.order_H[i - 1])
-            cells += ["" if o is None else str(o) for o in orders]
-        lines.append(",".join(cells))
-    summary = f"orders p={table.order_p} q={table.order_q} H={table.order_H}"
+    for i, n in enumerate(config.meshes):
+        cells = [str(n)]
+        cells += [_FMT(errs[obs][i]) if obs in errs else "" for obs in ("p", "q", "H", "H_d")]
+        # the first row has no order, and one at the roundoff floor is None: both cells stay empty
+        row_orders = [None if i == 0 else orders[obs][i - 1] for obs in ("p", "q", "H")]
+        lines.append(",".join(cells + ["" if o is None else str(o) for o in row_orders]))
+    summary = f"orders p={orders['p']} q={orders['q']} H={orders['H']}"
     return lines, summary.replace("None", "floor")
 
 

@@ -55,15 +55,14 @@ class TransferMatrix:
     """One-step map Phi = [[a, b], [c, a]] / delta acting on (p, q).
 
     delta = 1 + x/30 + x^2/1800 is positive for every x >= 0, so the matrix
-    is evaluable past the stability limit; `stable` flags whether h omega is
-    inside it.  a^2 - b c = delta^2 identically, hence det Phi = 1.
+    is evaluable past the stability limit.  a^2 - b c = delta^2
+    identically, hence det Phi = 1.
     """
 
     delta: float
     a: float
     b: float
     c: float
-    stable: bool
 
     @property
     def phi(self) -> tuple:
@@ -186,8 +185,7 @@ def transfer_matrix(params: HarmonicParams) -> TransferMatrix:
     a = 1 + x * (-7 * one / 15 + x * (23 * one / 900 + x * (-one / 3600)))
     b = m * h * omega ** 2 * (-43200 + x * (5760 + x * (-144 + x))) / 43200
     c = h / m * (1 + x * (-2 * one / 15 + x * (one / 300)))
-    stable = abs(h) * omega < stability_limit()
-    return TransferMatrix(delta=delta, a=a, b=b, c=c, stable=stable)
+    return TransferMatrix(delta=delta, a=a, b=b, c=c)
 
 
 def step_harmonic(point: PhasePoint, tm: TransferMatrix) -> PhasePoint:

@@ -89,11 +89,14 @@ def harmonic_potential(m: float, omega: float) -> PotentialModel:
 
 
 def pendulum_potential(m: float, omega: float) -> PotentialModel:
-    """V(q) = m omega^2 (1 - cos q), so V(0) = 0 and V'(0) = 0."""
+    """V(q) = m omega^2 (1 - cos q), so V(0) = 0 and V'(0) = 0.
+
+    V is evaluated as 2 m omega^2 sin^2(q/2): 1 - cos q rounds to 0 below |q| ~ 1e-8.
+    """
     k = m * omega * omega
     return PotentialModel(
         tag="pendulum",
-        V=lambda q: k * (1.0 - math.cos(q)),
+        V=lambda q: 2.0 * k * math.sin(0.5 * q) ** 2,
         dV=lambda q: k * math.sin(q),
         d2V=lambda q: k * math.cos(q),
     )

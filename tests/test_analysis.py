@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from lobvi.analysis import (
     FLOOR_ULPS,
-    ConvergenceTable,
     StabilityScan,
     TrajectoryRecord,
     convergence_table,
@@ -20,7 +19,13 @@ from lobvi.analysis import (
     stability_scan,
 )
 from lobvi.exact import HarmonicExact, harmonic_exact
-from lobvi.harmonic import HarmonicParams, run_harmonic, step_harmonic, transfer_matrix
+from lobvi.harmonic import (
+    HarmonicParams,
+    run_harmonic,
+    stability_limit,
+    step_harmonic,
+    transfer_matrix,
+)
 from lobvi.mechanics import PhasePoint, energy, harmonic_potential
 
 from oracle import drift_by_time
@@ -161,66 +166,61 @@ class TestEstimateOrder:
             estimate_order(1.0, 0.0, scale=48.7)
 
 
+# scale 0.0 puts no roundoff floor under an observable's orders
+NO_FLOOR = {"H": 0.0, "p": 0.0, "q": 0.0}
+
+
 class TestConvergenceTable:
     def test_builder_computes_orders(self):
-        table = convergence_table(
-            meshes=(10, 20, 40),
-            err_p=(64.0, 1.0, 1.0 / 64.0),
-            err_q=(64.0, 1.0, 1.0 / 64.0),
-            err_H=(64.0, 1.0, 1.0 / 64.0),
-        )
-        assert table.order_p == (6, 6)
-        assert table.order_q == (6, 6)
-        assert table.order_H == (6, 6)
-        assert table.err_Hd is None
+        sixth = (64.0, 1.0, 1.0 / 64.0)
+        errors = {"p": sixth, "q": sixth, "H": sixth, "H_d": (1e-16, 2e-16, 1e-16)}
+        orders = convergence_table((10, 20, 40), errors, NO_FLOOR)
+        assert orders == {"H": (6, 6), "p": (6, 6), "q": (6, 6)}
+        assert list(orders) == ["H", "p", "q"]
 
     def test_floor_orders_are_none(self):
         # H sits at a few ulps of its scale; p and q are far above theirs
         eps = sys.float_info.epsilon
         good = (64.0e-6, 1.0e-6, 1.0e-6 / 64.0)
-        table = convergence_table(
-            meshes=(10, 20, 40), err_p=good, err_q=good,
-            err_H=(1.3 * 48.7 * eps, 0.7 * 48.7 * eps, 3.3 * 48.7 * eps),
-            scales={"p": 10.0, "q": 1.6, "H": 48.7},
-        )
-        assert (table.order_p, table.order_q, table.order_H) == ((6, 6), (6, 6), (None, None))
+        errors = {"p": good, "q": good,
+                  "H": (1.3 * 48.7 * eps, 0.7 * 48.7 * eps, 3.3 * 48.7 * eps)}
+        orders = convergence_table((10, 20, 40), errors, {"H": 48.7, "p": 10.0, "q": 1.6})
+        assert orders == {"H": (None, None), "p": (6, 6), "q": (6, 6)}
 
     def test_requires_doubling_meshes(self):
-        with pytest.raises(ValueError):
-            convergence_table(
-                meshes=(10, 21),
-                err_p=(1.0, 1.0),
-                err_q=(1.0, 1.0),
-                err_H=(1.0, 1.0),
-            )
+        errors = {"p": (1.0, 1.0), "q": (1.0, 1.0), "H": (1.0, 1.0)}
+        with pytest.raises(ValueError, match="mesh counts must double: 10 then 21"):
+            convergence_table((10, 21), errors, NO_FLOOR)
+
+    def test_requires_two_meshes(self):
+        with pytest.raises(ValueError, match="need at least two meshes"):
+            convergence_table((10,), {"p": (1.0,), "q": (1.0,), "H": (1.0,)}, NO_FLOOR)
 
     def test_degenerate_error_names_observable_and_meshes(self):
         good = (64.0, 1.0, 1.0 / 64.0)
+        errors = {"p": good, "q": good, "H": (64.0, 1.0, 0.0)}
         with pytest.raises(ValueError, match="degenerate error value 0.0") as info:
-            convergence_table(
-                meshes=(10, 20, 40), err_p=good, err_q=good, err_H=(64.0, 1.0, 0.0)
-            )
+            convergence_table((10, 20, 40), errors, NO_FLOOR)
         assert (info.value.observable, info.value.meshes) == ("H", (20, 40))
 
     def test_degenerate_energy_is_named_before_the_phase_errors(self):
         subnormal = (1e-310, 1e-311, 1e-312)
+        errors = {"p": subnormal, "q": subnormal, "H": (1.0, 0.0, 0.0)}
         with pytest.raises(ValueError, match="degenerate error value 0.0") as info:
-            convergence_table(meshes=(10, 20, 40), err_p=subnormal, err_q=subnormal,
-                              err_H=(1.0, 0.0, 0.0))
+            convergence_table((10, 20, 40), errors, NO_FLOOR)
         assert (info.value.observable, info.value.meshes) == ("H", (10, 20))
 
-    def test_dataclass_validates_lengths(self):
-        with pytest.raises(ValueError):
-            ConvergenceTable(
-                meshes=(10, 20),
-                err_p=(1.0,),
-                err_q=(1.0, 2.0),
-                err_H=(1.0, 2.0),
-                err_Hd=None,
-                order_p=(6,),
-                order_q=(6,),
-                order_H=(6,),
-            )
+    def test_requires_one_error_per_mesh(self):
+        # checked before any order: the degenerate H is not reached
+        errors = {"p": (1.0,), "q": (1.0, 2.0), "H": (1.0, 0.0)}
+        with pytest.raises(ValueError, match="p needs one error per mesh") as info:
+            convergence_table((10, 20), errors, NO_FLOOR)
+        assert not hasattr(info.value, "observable")
+
+    def test_observables_without_a_scale_get_no_orders(self):
+        # H_d's error list may have any length: it gets no orders
+        errors = {"p": (64.0, 1.0), "q": (64.0, 1.0), "H": (64.0, 1.0), "H_d": ()}
+        assert convergence_table((10, 20), errors, {"q": 0.0}) == {"q": (6,)}
 
 
 class TestEnergyDriftSeries:
@@ -334,7 +334,7 @@ class TestStabilityScan:
         form at h*omega = 3.14 and watch the norm blow up."""
         params = HarmonicParams(m=1.0, omega=W, h=3.14 / W)
         tm = transfer_matrix(params)
-        assert not tm.stable
+        assert not abs(params.h) * params.omega < stability_limit()
         pt = PhasePoint(0.0, 1.0)
         worst = 1.0
         for _ in range(2000):
@@ -342,12 +342,14 @@ class TestStabilityScan:
             worst = max(worst, abs(pt.p) / W, abs(pt.q))
         assert worst > 1e6
 
-    def test_re_entrant_window_is_flagged_by_the_matrix(self):
+    def test_re_entrant_window_is_past_the_limit(self):
         # between the onset and sqrt(10) the closed form turns neutrally
-        # stable again; the scan refuses that region, the matrix reports it
+        # stable again, |a| < delta; the scan refuses that region, and the
+        # one verdict, h*omega against stability_limit(), rejects it
         params = HarmonicParams(m=1.0, omega=W, h=3.2 / W)
         tm = transfer_matrix(params)
-        assert not tm.stable
+        assert abs(tm.a) < tm.delta
+        assert not abs(params.h) * params.omega < stability_limit()
 
     def test_dataclass_roundtrip(self):
         scan = StabilityScan(grid=(1.0,), bounded=(True,), transition=None)

@@ -12,7 +12,7 @@ import pytest
 
 import lobvi
 import lobvi.cli
-from lobvi.analysis import TrajectoryRecord
+from lobvi.analysis import TrajectoryRecord, estimate_order, linf_error, orbit_scale
 from lobvi.cli import ConfigError, ExperimentConfig, main, parse_config, run
 from lobvi.harmonic import stability_limit
 from lobvi.mechanics import PhasePoint
@@ -369,6 +369,17 @@ class TestConvergenceOutput:
         assert [r[5:] for r in rows] == [["", "", ""], ["2", "2", ""], ["2", "2", ""]]
         assert err == f"convergence: orders p=(2, 2) q=(2, 2) H=(floor, floor) -> {out}\n"
 
+    def test_tiny_release_angle_keeps_sixth_order_energy(self):
+        # 1 - cos q rounds to 0 at q0 = 1e-10; the sin^2(q/2) form keeps H's sixth order
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code, err = call_main(["convergence", "--system", "pendulum",
+                                   "--amplitude", "1e-10", "--out", "-"])
+        assert code == 0
+        rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+        assert [r[7] for r in rows] == ["", "6", "6"]
+        assert err == "convergence: orders p=(6, floor) q=(6, floor) H=(6, 6) -> stdout\n"
+
     def test_cells_match_trajectory_recomputation(self, tmp_path):
         """The convergence errors must be byte-identical to what the published
         trajectory file implies: parse one, recompute the three infinity
@@ -388,6 +399,32 @@ class TestConvergenceOutput:
         assert crows[0][2] == FMT(err_q)
         assert crows[0][3] == FMT(err_h)
         assert crows[0][4] == FMT(err_hd)
+
+    @pytest.mark.parametrize(
+        "args, hd_cells, floor_cells",
+        [([], 3, 0), (["--scheme", "midpoint"], 0, 2), (["--system", "pendulum"], 0, 0)],
+        ids=["harmonic-lobatto", "harmonic-midpoint", "pendulum"],
+    )
+    def test_rows_equal_the_per_cell_format(self, args, hd_cells, floor_cells):
+        config = parse_config(["convergence", *args, "--out", "-"])
+        records = [lobvi.cli._simulate(config, n) for n in config.meshes]
+        scale = {obs: orbit_scale(records[-1], obs) for obs in ("p", "q", "H")}
+        rows = []
+        for i, (n, record) in enumerate(zip(config.meshes, records)):
+            cells = [str(n)] + [FMT(linf_error(record, obs)) for obs in ("p", "q", "H")]
+            cells.append("" if record.discrete_energies is None
+                         else FMT(linf_error(record, "H_d")))
+            for obs in ("p", "q", "H"):
+                order = None if i == 0 else estimate_order(
+                    linf_error(records[i - 1], obs), linf_error(record, obs), scale[obs])
+                cells.append("" if order is None else str(order))
+            rows.append(",".join(cells))
+        lines, _ = lobvi.cli._convergence_lines(config)
+        assert lines == ["meshes,err_p,err_q,err_H,err_Hd,order_p,order_q,order_H"] + rows
+        # each case covers the cells it is named for: H_d errors, or H orders at the floor
+        table = [row.split(",") for row in rows]
+        assert sum(row[4] != "" for row in table) == hd_cells
+        assert sum(row[7] == "" for row in table[1:]) == floor_cells
 
 
 class TestDriftOutput:
@@ -555,6 +592,17 @@ class TestExitCodes:
     def test_missing_config_file(self):
         code, err = call_main(["trajectory", "--config", "/nonexistent/x.cfg"])
         assert code == 2
+
+    def test_config_file_not_in_utf8_is_config_error(self, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("# r\u00e9glage\nperiods = 2\n".encode("latin-1"))
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code, err = call_main(["drift", "--config", str(path), "--out", "-"])
+        assert code == 2
+        assert err == ("config error: cannot read config file: 'utf-8' codec can't decode "
+                       "byte 0xe9 in position 3: invalid continuation byte\n")
+        assert buf.getvalue() == ""
 
     def test_solver_failure_exits_three(self, tmp_path):
         out = tmp_path / "t.csv"

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -49,6 +50,13 @@ class TestPendulumPotential:
         pot = pendulum_potential(0.7, 1.9)
         assert abs(pot.dV(q) - fd(pot.V, q)) < 1e-6
         assert abs(pot.d2V(q) - fd(pot.dV, q)) < 1e-6
+
+    @pytest.mark.parametrize("q", [1e-10, -1e-10, 3e-9, 1e-150])
+    def test_tiny_angle_keeps_full_precision(self, q):
+        # 1 - cos q rounds to 0 here, and V's next term, k q^4 / 24, is below rounding
+        pot = pendulum_potential(1.0, 2.0)
+        want = 0.5 * 4.0 * q * q
+        assert abs(pot.V(q) - want) <= 4.0 * sys.float_info.epsilon * want
 
     @given(q=st.floats(-0.05, 0.05))
     def test_small_angle_matches_harmonic(self, q):
