@@ -33,7 +33,6 @@ from .harmonic import (
     center_residual,
     discrete_energy,
     discrete_energy_series,
-    discrete_lagrangian,
     internal_dofs,
     kinetic_form,
     reduced_lagrangian,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .harmonic import HarmonicParams, step_harmonic, transfer_matrix
 from .mechanics import PhasePoint
@@ -22,33 +22,18 @@ _OBSERVABLES = ("p", "q", "H", "H_d")
 FLOOR_ULPS = 64
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
+class TrajectoryRecord(NamedTuple):
     """Node-sampled run: times, states, exact states, H and optional H_d.
 
-    discrete_energies is only meaningful for the linear closed-form scheme;
-    leave it None elsewhere.
+    One run fills every column, one entry per node.  discrete_energies is
+    only meaningful for the linear closed-form scheme; leave it None elsewhere.
     """
 
-    times: tuple
-    points: tuple
-    exact: tuple
-    energies: tuple
-    discrete_energies: Optional[tuple] = None
-
-    def __post_init__(self):
-        n = len(self.times)
-        if n == 0:
-            raise ValueError("empty record")
-        for name in ("times", "points", "exact", "energies", "discrete_energies"):
-            val = getattr(self, name)
-            if val is not None:
-                object.__setattr__(self, name, tuple(val))
-                if len(getattr(self, name)) != n:
-                    raise ValueError(f"{name} length differs from times")
-        for t0, t1 in zip(self.times, self.times[1:]):
-            if not t1 > t0:
-                raise ValueError("times must be strictly increasing")
+    times: Sequence[float]
+    points: Sequence[PhasePoint]
+    exact: Sequence[PhasePoint]
+    energies: Sequence[float]
+    discrete_energies: Optional[Sequence[float]] = None
 
 
 def linf_error(record: TrajectoryRecord, observable: str) -> float:

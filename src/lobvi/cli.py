@@ -28,16 +28,16 @@ from .analysis import (
 )
 from .exact import HarmonicExact, PendulumExact, harmonic_exact, pendulum_exact
 from .harmonic import HarmonicParams, discrete_energy_series, run_harmonic, stability_limit
-from .mechanics import StepParams, energy, harmonic_potential, pendulum_potential
+from .mechanics import StepParams, _require, energy, harmonic_potential, pendulum_potential
 from .midpoint import run_midpoint
 from .pendulum import NewtonError, run_pendulum
 
 _COMMANDS = ("trajectory", "convergence", "drift", "stability")
 _SYSTEMS = ("harmonic", "pendulum")
 _SCHEMES = ("lobatto", "midpoint")
-# option that sets each field of the exact-reference and step records
+# options that set each field of the exact-reference and step records, and the last node time t
 _OPTION_OF_FIELD = {"m": "mass", "omega": "omega", "amplitude": "amplitude", "q0": "amplitude",
-                    "h": "omega, meshes"}
+                    "h": "omega, meshes", "t": "omega, periods"}
 
 # the scan covers the upper end of the admissible range at 0.01 spacing
 _STABILITY_GRID = tuple((280 + i) / 100.0 for i in range(37))
@@ -110,6 +110,10 @@ class ExperimentConfig:
                 reference = PendulumExact(q0=self.amplitude, omega=self.omega, m=self.m)
                 span, potential = reference.period, pendulum_potential(self.m, self.omega)
             steps = {n: StepParams(m=self.m, h=span / n, potential=potential) for n in self.meshes}
+            if self.command != "drift":
+                # _simulate's last node time; the drift reads no times
+                for n, step in steps.items():
+                    _require("t", (n * self.periods) * step.h)
         except ValueError as exc:
             raise ConfigError(f"{_OPTION_OF_FIELD[exc.field]}: {exc}") from None
         if self.system == "harmonic" and self.amplitude == 0.0:
@@ -218,7 +222,7 @@ def _build_parser() -> tuple:
 def _read_config_file(path: str, command: str) -> dict:
     """Map each key of a key=value file for `command` to (raw value, path:lineno)."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             raw_lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None

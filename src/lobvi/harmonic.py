@@ -119,26 +119,8 @@ def kinetic_form(element: ElementState, m: float, h: float) -> float:
     return m * bracket / (12.0 * h)
 
 
-def discrete_lagrangian(element: ElementState, params: HarmonicParams) -> float:
-    """Element action: quadrature of m qdot^2/2 - m omega^2 q^2/2."""
-    e = element
-    kin = kinetic_form(element, params.m, params.h)
-    pot = (
-        params.m
-        * params.h
-        * params.omega ** 2
-        / 24.0
-        * (
-            e.q_l * e.q_l
-            + e.q_r * e.q_r
-            + 5.0 * (e.q_xi * e.q_xi + e.q_xic * e.q_xic)
-        )
-    )
-    return kin - pot
-
-
 def reduced_lagrangian(q_l: float, q_r: float, params: HarmonicParams) -> float:
-    """discrete_lagrangian with the interior nodes eliminated.
+    """discrete_lagrangian_nl with V = m omega^2 q^2 / 2 and the interior nodes eliminated.
 
     Symmetric in (q_l, q_r); reduces to m (q_r - q_l)^2 / 2h as omega -> 0.
     """

@@ -6,6 +6,8 @@ honest to be compared against.
 
 from __future__ import annotations
 
+import math
+
 from . import pendulum
 from .mechanics import PhasePoint, Run, StepParams
 from .pendulum import NewtonError, fold
@@ -31,6 +33,8 @@ def step_midpoint(point: PhasePoint, params: StepParams) -> tuple:
         g = x - q0 - h / m * p0 + h * h / (2.0 * m) * force
         if abs(g) <= tol:
             return PhasePoint(p0 - h * force, x), used
+        if not math.isfinite(g):
+            raise NewtonError("non-finite residual", residual=abs(g) / scale, iterations=used)
         if used == max_iter:
             raise NewtonError("no convergence", residual=abs(g) / scale, iterations=used)
         dx = g / (1.0 + h * h / (4.0 * m) * d2V(0.5 * (q0 + x)))

@@ -31,7 +31,7 @@ MAX_STEP = 1e6
 
 
 class NewtonError(RuntimeError):
-    """Newton failed: non-convergence, divergence, or a singular Jacobian.
+    """Newton failed: non-convergence, divergence, a singular Jacobian or a non-finite residual.
 
     A structured record: `reason` names the failure, `residual` is the last
     scaled residual and `iterations` the iterations done.  When the solve was
@@ -75,7 +75,8 @@ def fold(step: Callable[[PhasePoint], tuple], point: PhasePoint, n_steps: int) -
 
 
 def discrete_lagrangian_nl(element: ElementState, params: StepParams) -> float:
-    """Element action with the potential integrated by the Lobatto rule."""
+    """Element action of any potential, the oscillator's and the pendulum's:
+    the kinetic form minus the potential integrated by the Lobatto rule."""
     e = element
     V = params.potential.V
     kin = kinetic_form(element, params.m, params.h)
@@ -174,6 +175,12 @@ def newton_step_solve(p_j: float, q_j: float, params: StepParams) -> tuple:
         u = (a, b, p, n)
         f1, f2, f3, f4 = step_residual(u, p_j, q_j, params, dv_j)
         res = max(abs(f1) / sq, abs(f2) / sq, abs(f3) / sp, abs(f4) / sq)
+        # max() drops a NaN that is not its first argument; the sum keeps it
+        # (a sum of finite terms may overflow to inf, but never to NaN)
+        if math.isnan(f1 + f2 + f3 + f4):
+            res = math.nan
+        if not math.isfinite(res):
+            raise NewtonError("non-finite residual", residual=res, iterations=used)
         if res <= TOL:
             return u, used
         if used == MAX_ITER:

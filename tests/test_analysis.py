@@ -44,32 +44,6 @@ def make_record(n=5, with_hd=False):
     )
 
 
-class TestTrajectoryRecord:
-    def test_coerces_to_tuples(self):
-        rec = make_record(with_hd=True)
-        for name in ("times", "points", "exact", "energies", "discrete_energies"):
-            assert isinstance(getattr(rec, name), tuple)
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError, match="points length"):
-            TrajectoryRecord(times=[0.0, 0.1], points=[PhasePoint(0.0, 0.0)],
-                             exact=[PhasePoint(0.0, 0.0)] * 2, energies=[1.0, 1.0])
-
-    def test_rejects_mismatched_series(self):
-        with pytest.raises(ValueError, match="energies length"):
-            TrajectoryRecord(
-                times=[0.0, 0.1],
-                points=[PhasePoint(0.0, 0.0)] * 2,
-                exact=[PhasePoint(0.0, 0.0)] * 2,
-                energies=[1.0],
-            )
-
-    def test_rejects_nonincreasing_times(self):
-        with pytest.raises(ValueError, match="increasing"):
-            TrajectoryRecord(times=[0.0, 0.0], points=[PhasePoint(0.0, 0.0)] * 2,
-                             exact=[PhasePoint(0.0, 0.0)] * 2, energies=[1.0, 1.0])
-
-
 class TestLinfError:
     def test_zero_when_exact(self):
         times = [0.0, 1.0]

@@ -139,6 +139,12 @@ class TestParseConfig:
         assert err == f"config error: {path}:3: repeated key 'periods' (first at line 1)\n"
         assert buf.getvalue() == ""
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes("\ufeffsystem = pendulum\nperiods = 2\n".encode("utf-8"))
+        cfg = parse_config(["drift", "--config", str(path)])
+        assert (cfg.system, cfg.periods) == ("pendulum", 2)
+
     def test_malformed_line_is_located(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("system harmonic\n")
@@ -696,6 +702,35 @@ class TestExitCodes:
             assert code == 2
             assert err == f"config error: omega, meshes: h must be finite and nonzero, got {got}\n"
             assert buf.getvalue() == ""
+        assert not out.exists()
+
+    # h = 2 pi / 4e-308 / 10 is finite, but the last node time 20 h overflows
+    @pytest.mark.parametrize("command", ["trajectory", "convergence"])
+    def test_last_node_time_past_the_floats_is_config_error(self, tmp_path, command):
+        out = tmp_path / "t.csv"
+        for sink in ("-", str(out)):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code, err = call_main([command, "--omega", "4e-308", "--periods", "2",
+                                       "--out", sink])
+            assert code == 2
+            assert err == "config error: omega, periods: t must be finite, got inf\n"
+            assert buf.getvalue() == ""
+        assert not out.exists()
+        # the drift reads no times
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, _ = call_main(["drift", "--omega", "4e-308", "--periods", "2", "--out", "-"])
+        assert code == 0
+
+    # at omega = 1e-160, h^2 overflows and the first residual is NaN (Lobatto) or inf (midpoint)
+    @pytest.mark.parametrize("scheme, residual", [("lobatto", "nan"), ("midpoint", "inf")])
+    def test_non_finite_residual_is_a_solver_failure(self, tmp_path, scheme, residual):
+        out = tmp_path / "t.csv"
+        code, err = call_main(["trajectory", "--system", "pendulum", "--scheme", scheme,
+                               "--omega", "1e-160", "--out", str(out)])
+        assert code == 3
+        assert err == ("solver failure: step 1 of 10: non-finite residual after 0 iterations, "
+                       f"scaled residual {residual}; no output written\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("sink", ["stdout", "file"])

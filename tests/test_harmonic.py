@@ -16,7 +16,6 @@ from lobvi.harmonic import (
     center_residual,
     discrete_energy,
     discrete_energy_series,
-    discrete_lagrangian,
     internal_dofs,
     kinetic_form,
     reduced_lagrangian,
@@ -28,7 +27,8 @@ from lobvi.harmonic import (
     transfer_matrix,
     truncation_leading_term,
 )
-from lobvi.mechanics import ElementState, PhasePoint, harmonic_potential
+from lobvi.mechanics import ElementState, PhasePoint, StepParams, harmonic_potential
+from lobvi.pendulum import discrete_lagrangian_nl
 from lobvi.quadrature import XI, integrate_unit, interpolate, stiffness_matrix
 from oracle import exact_coefficients, exact_fold, nearest_float, reference_fold
 
@@ -38,6 +38,12 @@ lengths = st.floats(-3.0, 3.0, allow_nan=False)
 masses = st.floats(0.2, 5.0)
 steps = st.floats(0.02, 0.5)
 omegas = st.floats(0.1, 6.0)
+
+
+def element_action(element, params):
+    """The oscillator's element action: discrete_lagrangian_nl with V = m omega^2 q^2 / 2."""
+    pot = harmonic_potential(params.m, params.omega)
+    return discrete_lagrangian_nl(element, StepParams(m=params.m, h=params.h, potential=pot))
 
 
 def bits(v):
@@ -90,7 +96,7 @@ class TestInternalDofs:
             def ld(v, slot=slot):
                 vals = [q_l, q_xi, q_xic, q_r]
                 vals[slot] = v
-                return discrete_lagrangian(ElementState(*vals), params)
+                return element_action(ElementState(*vals), params)
             center = (q_xi, q_xic)[slot - 1]
             grad = (ld(center + d) - ld(center - d)) / (2.0 * d)
             assert abs(grad) < 1e-10
@@ -108,11 +114,11 @@ class TestInternalDofs:
 
 class TestDiscreteLagrangian:
     def test_zero_element(self):
-        assert discrete_lagrangian(ElementState(0, 0, 0, 0), TABLE_PARAMS) == 0.0
+        assert element_action(ElementState(0, 0, 0, 0), TABLE_PARAMS) == 0.0
 
     def test_constant_element_is_pure_potential(self):
         params = HarmonicParams(m=1.0, omega=3.0, h=0.2)
-        got = discrete_lagrangian(ElementState(1, 1, 1, 1), params)
+        got = element_action(ElementState(1, 1, 1, 1), params)
         assert abs(got - (-params.h * 9.0 / 2.0)) < 1e-14
 
     @given(
@@ -127,7 +133,7 @@ class TestDiscreteLagrangian:
         vec = np.array(qs)
         kin = m / (2.0 * h) * float(vec @ np.array(stiffness_matrix()) @ vec)
         u = h * integrate_unit(lambda th: pot.V(interpolate(el, th)))
-        got = discrete_lagrangian(el, params)
+        got = element_action(el, params)
         assert abs(got - (kin - u)) <= 1e-11 * (1.0 + abs(kin) + abs(u))
 
     @given(qs=st.tuples(lengths, lengths, lengths, lengths), m=masses, h=steps)
@@ -148,7 +154,7 @@ class TestReducedLagrangian:
     def test_substitution_oracle(self, q_l, q_r, m, h, w):
         params = stable_params(m, h, w)
         q_xi, q_xic = internal_dofs(q_l, q_r, params)
-        full = discrete_lagrangian(ElementState(q_l, q_xi, q_xic, q_r), params)
+        full = element_action(ElementState(q_l, q_xi, q_xic, q_r), params)
         red = reduced_lagrangian(q_l, q_r, params)
         assert abs(red - full) <= 1e-12 * (1.0 + abs(red) + abs(full))
 

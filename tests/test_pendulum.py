@@ -15,7 +15,6 @@ from lobvi.harmonic import (
     step_harmonic,
     transfer_matrix,
 )
-from lobvi.harmonic import discrete_lagrangian as discrete_lagrangian_harmonic
 from lobvi.mechanics import (
     ElementState,
     PhasePoint,
@@ -90,15 +89,6 @@ class TestValidation:
 class TestDiscreteLagrangianNL:
     def test_zero_element(self):
         assert discrete_lagrangian_nl(ElementState(0, 0, 0, 0), pendulum_params()) == 0.0
-
-    @given(qs=st.tuples(lengths, lengths, lengths, lengths))
-    def test_harmonic_potential_matches_linear_module(self, qs):
-        el = ElementState(*qs)
-        nl = discrete_lagrangian_nl(el, harmonic_nl_params())
-        lin = discrete_lagrangian_harmonic(
-            el, HarmonicParams(m=1.0, omega=W, h=0.05)
-        )
-        assert abs(nl - lin) <= 1e-12 * (1.0 + abs(lin))
 
     def test_constant_element_at_inversion(self):
         params = pendulum_params(h=0.2)
@@ -257,6 +247,22 @@ class TestNewton:
             assert info.value.iterations == iterations
             assert info.value.step is None and info.value.n_steps is None
             assert math.isfinite(info.value.residual)
+
+    def test_non_finite_residual_is_not_converged(self):
+        # the NaN sits past the first residual term, where max() would drop it
+        nan_above_one = PotentialModel(
+            "nan-above-one", lambda q: 0.0, lambda q: 0.0 if q < 1.0 else math.nan,
+            lambda q: 0.0,
+        )
+        params = StepParams(m=1.0, h=0.1, potential=nan_above_one)
+        # the solver's start: q_next at the free drift 1.0, interior nodes on the line
+        guess = ((1.0 - XI) * 0.5 + XI, XI * 0.5 + (1.0 - XI), 5.0, 1.0)
+        first = step_residual(guess, 5.0, 0.5, params)
+        assert first[:2] == (0.0, 0.0) and all(map(math.isnan, first[2:]))
+        with pytest.raises(NewtonError) as info:
+            newton_step_solve(5.0, 0.5, params)
+        assert (info.value.reason, info.value.iterations) == ("non-finite residual", 0)
+        assert math.isnan(info.value.residual)
 
     def test_one_cap_binds_both_schemes(self, monkeypatch):
         """Both implicit steps read the solver constants from lobvi.pendulum."""
