@@ -102,6 +102,11 @@ class ExperimentConfig:
         if self.periods < 1:
             raise ConfigError(f"periods must be at least 1, got {self.periods}")
         try:
+            nodes = {n: float(n * self.periods) for n in self.meshes}
+        except OverflowError:
+            raise ConfigError("periods: the node count meshes * periods is past the "
+                              "float range") from None
+        try:
             if self.system == "harmonic":
                 reference = HarmonicExact(amplitude=self.amplitude, omega=self.omega, m=self.m)
                 span = 2.0 * math.pi / self.omega
@@ -113,7 +118,7 @@ class ExperimentConfig:
             if self.command != "drift":
                 # _simulate's last node time; the drift reads no times
                 for n, step in steps.items():
-                    _require("t", (n * self.periods) * step.h)
+                    _require("t", nodes[n] * step.h)
         except ValueError as exc:
             raise ConfigError(f"{_OPTION_OF_FIELD[exc.field]}: {exc}") from None
         if self.system == "harmonic" and self.amplitude == 0.0:

@@ -115,9 +115,10 @@ def pendulum_exact(t: float, params: PendulumExact) -> PhasePoint:
     """Jacobi sn, cn, dn at u = omega t by unwinding the record's Landen table.
 
     Seed the amplitude at the smallest modulus and unwind
-    phi_{i-1} = (phi_i + asin((c_i/a_i) sin phi_i)) / 2.  dn comes from the
-    Pythagorean identity, which keeps it positive and accurate near u = K
-    where the phi recursion loses relative accuracy.
+    phi_{i-1} = (phi_i + asin((c_i/a_i) sin phi_i)) / 2.  Then
+    dn = hypot(k', k cn) from dn^2 = k'^2 + k^2 cn^2, and q = 2 atan2(k cn, k')
+    from sin(q/2) = k cn/dn, cos(q/2) = k'/dn (DLMF 22.6): neither cancels
+    near the separatrix, and q(0) is q0 exactly.
     """
     k, kp, four_k, scale, ratios = params.landen
     # reduce by the full period 4K so long horizons keep full accuracy
@@ -127,7 +128,7 @@ def pendulum_exact(t: float, params: PendulumExact) -> PhasePoint:
         phi = 0.5 * (phi + math.asin(r * math.sin(phi)))
     sn = math.sin(phi)
     cn = math.cos(phi)
-    dn = math.sqrt((1.0 - k * sn) * (1.0 + k * sn))
-    q = 2.0 * math.asin(min(1.0, max(-1.0, k * cn / dn)))
+    dn = math.hypot(kp, k * cn)
+    q = 2.0 * math.atan2(k * cn, kp)
     p = -2.0 * params.m * k * kp * params.omega * sn / dn
     return PhasePoint(p, q)

@@ -25,21 +25,23 @@ def step_midpoint(point: PhasePoint, params: StepParams) -> tuple:
     d2V = params.potential.d2V
     p0, q0 = point.p, point.q
     x = q0 + h * p0 / m
-    scale = max(1.0, abs(q0))
-    tol, max_iter = pendulum.TOL * scale, pendulum.MAX_ITER
+    tol, max_iter = pendulum.TOL, pendulum.MAX_ITER
     for used in range(max_iter + 1):
         # the force at the midpoint serves the residual and, once converged, p1
         force = dV(0.5 * (q0 + x))
         g = x - q0 - h / m * p0 + h * h / (2.0 * m) * force
-        if abs(g) <= tol:
+        # g is a position, scaled by the larger of |q0| and |x|: a zero scale admits only g = 0
+        scale = max(abs(q0), abs(x))
+        if abs(g) <= tol * scale:
             return PhasePoint(p0 - h * force, x), used
+        res = abs(g) / scale if scale else math.inf
         if not math.isfinite(g):
-            raise NewtonError("non-finite residual", residual=abs(g) / scale, iterations=used)
+            raise NewtonError("non-finite residual", residual=res, iterations=used)
         if used == max_iter:
-            raise NewtonError("no convergence", residual=abs(g) / scale, iterations=used)
+            raise NewtonError("no convergence", residual=res, iterations=used)
         dx = g / (1.0 + h * h / (4.0 * m) * d2V(0.5 * (q0 + x)))
         if abs(dx) > pendulum.MAX_STEP:
-            raise NewtonError("diverged", residual=abs(g) / scale, iterations=used)
+            raise NewtonError("diverged", residual=res, iterations=used)
         x -= dx
 
 

@@ -262,8 +262,7 @@ def _sncndn(u: float, k: float, kp: float) -> tuple:
         phi = 0.5 * (phi + math.asin(min(1.0, max(-1.0, s))))
     sn = math.sin(phi)
     cn = math.cos(phi)
-    dn = math.sqrt((1.0 - k * sn) * (1.0 + k * sn))
-    return sn, cn, dn
+    return sn, cn, math.hypot(kp, k * cn)
 
 
 def pendulum_landen(t: float, q0: float, omega: float, m: float) -> PhasePoint:
@@ -272,7 +271,7 @@ def pendulum_landen(t: float, q0: float, omega: float, m: float) -> PhasePoint:
     kp = math.cos(0.5 * q0)
     u = math.fmod(omega * t, 4.0 * complete_elliptic_K(k, kp))
     sn, cn, dn = _sncndn(u, k, kp)
-    q = 2.0 * math.asin(min(1.0, max(-1.0, k * cn / dn)))
+    q = 2.0 * math.atan2(k * cn, kp)
     p = -2.0 * m * k * kp * omega * sn / dn
     return PhasePoint(p, q)
 

@@ -330,6 +330,16 @@ class TestTrajectoryOutput:
         assert a.read_bytes() == b.read_bytes()
 
 
+    @pytest.mark.parametrize("amplitude", ["1.5707963267948966", "2.5", "3.1", "1e-10"])
+    def test_pendulum_starts_at_the_release_angle(self, amplitude):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code, _ = call_main(["trajectory", "--system", "pendulum",
+                                 "--amplitude", amplitude, "--out", "-"])
+        assert code == 0
+        row = buf.getvalue().splitlines()[1].split(",")
+        assert float(row[1]) == float(row[3]) == float(amplitude)
+
     @pytest.mark.parametrize("mass", ["1e6", "1e10"])
     def test_pendulum_positions_do_not_depend_on_mass(self, tmp_path, mass):
         qs = {}
@@ -385,6 +395,14 @@ class TestConvergenceOutput:
         rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
         assert [r[7] for r in rows] == ["", "6", "6"]
         assert err == "convergence: orders p=(6, floor) q=(6, floor) H=(6, 6) -> stdout\n"
+
+    def test_tiny_release_angle_keeps_second_order_midpoint(self):
+        # the midpoint residual is a position, scaled by the positions of the step
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, err = call_main(["convergence", "--system", "pendulum", "--scheme",
+                                   "midpoint", "--amplitude", "1e-10", "--out", "-"])
+        assert code == 0
+        assert err == "convergence: orders p=(2, 2) q=(2, 2) H=(floor, floor) -> stdout\n"
 
     def test_cells_match_trajectory_recomputation(self, tmp_path):
         """The convergence errors must be byte-identical to what the published
@@ -855,6 +873,29 @@ class TestExitCodes:
             ["trajectory", "--meshes", "4", "--out", str(tmp_path / "ok.csv")]
         )
         assert code == 0
+
+    def test_heavy_pendulum_converges(self):
+        # the Lobatto residual is a position, so the stop does not see the mass
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code, err = call_main(["trajectory", "--system", "pendulum", "--periods", "3",
+                                   "--mass", "1e4", "--amplitude", "2.5", "--out", "-"])
+        assert code == 0, err
+        assert len(buf.getvalue().splitlines()) == 32
+
+    @pytest.mark.parametrize("command", ["trajectory", "convergence"])
+    def test_periods_past_the_float_range_is_config_error(self, tmp_path, command):
+        out = tmp_path / "p.csv"
+        code, err = call_main([command, "--periods", "1" + "0" * 400, "--out", str(out)])
+        assert code == 2
+        assert err == ("config error: periods: the node count meshes * periods is past "
+                       "the float range\n")
+        assert not out.exists()
+
+    def test_drift_periods_past_the_float_range_is_config_error(self):
+        # checked on the config alone: a drift that got past it would fold without end
+        with pytest.raises(ConfigError, match=r"^periods: the node count"):
+            parse_config(["drift", "--periods", "1" + "0" * 400, "--out", "-"])
 
 
 class TestRunDispatch:

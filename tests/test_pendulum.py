@@ -54,22 +54,25 @@ def harmonic_nl_params(h=0.05, m=1.0):
 lengths = st.floats(-3.0, 3.0, allow_nan=False)
 
 
+def stops(r1, r2, q_j, stages, q_next):
+    """The stop rule: max(|r1|, |r2|) at most TOL times the largest position."""
+    scale = max(abs(q_j), *map(abs, stages), abs(q_next))
+    return max(abs(r1), abs(r2)) <= lobvi.pendulum.TOL * scale
+
+
 def dense_newton(p_j, q_j, params):
-    """Reference solve: the full 4x4 Newton with np.linalg.solve on the same
-    residual, Jacobian, initial guess, scaled stopping rule and constants."""
+    """Reference solve: Newton with np.linalg.solve on the same 2x2 residual,
+    Jacobian, initial guess, scaled stopping rule and constants."""
     m, h = params.m, params.h
     drift = q_j + h * p_j / m
-    x = np.array(
-        [(1.0 - XI) * q_j + XI * drift, XI * q_j + (1.0 - XI) * drift, p_j, drift]
-    )
-    sq, sp = max(1.0, abs(q_j)), max(1.0, abs(p_j))
-    scale = np.array([sq, sq, sp, sq])
+    x = np.array([(1.0 - XI) * q_j + XI * drift, XI * q_j + (1.0 - XI) * drift])
     for used in range(lobvi.pendulum.MAX_ITER + 1):
-        u = tuple(x.tolist())
-        f = np.array(step_residual(u, p_j, q_j, params))
-        if np.max(np.abs(f) / scale) <= lobvi.pendulum.TOL:
-            return u, used
-        x = x + np.linalg.solve(np.array(jacobian_dFL(u, params)), -f)
+        stages = tuple(x.tolist())
+        r1, r2, q_next, forces = step_residual(stages, p_j, q_j, params)
+        if stops(r1, r2, q_j, stages, q_next):
+            p_next = p_j - h * (forces + params.potential.dV(q_next)) / 12.0
+            return (*stages, p_next, q_next), used
+        x = x + np.linalg.solve(np.array(jacobian_dFL(stages, params)), -np.array([r1, r2]))
     raise AssertionError("dense reference did not converge")
 
 
@@ -96,66 +99,58 @@ class TestDiscreteLagrangianNL:
         assert abs(got - (-2.0 * 0.2 * W ** 2)) < 1e-12
 
 
+def closed_form_step(pt, hp):
+    """The transfer-matrix step from pt and its interior nodes."""
+    out = step_harmonic(pt, transfer_matrix(hp))
+    return out, internal_dofs(pt.q, out.q, hp)
+
+
 class TestInternalEquations:
     def test_harmonic_closed_form_satisfies_system(self):
-        hp = HarmonicParams(m=1.0, omega=W, h=0.05)
-        q_l, q_r = 0.3, -0.4
-        q_xi, q_xic = internal_dofs(q_l, q_r, hp)
-        u = (q_xi, q_xic, 0.0, q_r)
-        r1, r2 = step_residual(u, 0.0, q_l, harmonic_nl_params())[:2]
+        pt = PhasePoint(0.4, 1.1)
+        _, stages = closed_form_step(pt, HarmonicParams(m=1.0, omega=W, h=0.05))
+        r1, r2 = step_residual(stages, pt.p, pt.q, harmonic_nl_params())[:2]
         assert abs(r1) <= 1e-12 and abs(r2) <= 1e-12
 
     def test_free_motion_linear_interpolant(self):
+        # p = 4 drifts from q_l = 0.2 to q_r = 1.4 in h = 0.3
         params = StepParams(m=1.0, h=0.3, potential=free_potential())
         q_l, q_r = 0.2, 1.4
-        u = ((1 - XI) * q_l + XI * q_r, XI * q_l + (1 - XI) * q_r, 0.0, q_r)
-        r1, r2 = step_residual(u, 0.0, q_l, params)[:2]
+        stages = ((1 - XI) * q_l + XI * q_r, XI * q_l + (1 - XI) * q_r)
+        r1, r2 = step_residual(stages, 4.0, q_l, params)[:2]
         assert abs(r1) < 1e-15 and abs(r2) < 1e-15
+        off_line = (stages[0] + 1e-3, stages[1])
+        assert abs(step_residual(off_line, 4.0, q_l, params)[0]) > 1e-4
 
     def test_equilibrium(self):
-        u = (0.0, 0.0, 0.0, 0.0)
-        assert step_residual(u, 0.0, 0.0, pendulum_params())[:2] == (0.0, 0.0)
+        assert step_residual((0.0, 0.0), 0.0, 0.0, pendulum_params())[:2] == (0.0, 0.0)
 
 
 class TestDynamicsResidual:
+    """q_next comes out of the residual and p_next from its force sum."""
+
     def test_equilibrium(self):
-        u = (0.0, 0.0, 0.0, 0.0)
-        assert step_residual(u, 0.0, 0.0, pendulum_params())[2:] == (0.0, 0.0)
+        assert step_residual((0.0, 0.0), 0.0, 0.0, pendulum_params())[2:] == (0.0, 0.0)
 
-    def test_closed_form_step_has_zero_residual(self):
-        hp = HarmonicParams(m=1.0, omega=W, h=0.05)
+    def test_closed_form_step_is_the_explicit_update(self):
         pt = PhasePoint(0.4, 1.1)
-        out = step_harmonic(pt, transfer_matrix(hp))
-        q_xi, q_xic = internal_dofs(pt.q, out.q, hp)
-        u = (q_xi, q_xic, out.p, out.q)
-        r3, r4 = step_residual(u, pt.p, pt.q, harmonic_nl_params())[2:]
-        assert abs(r3) <= 1e-11 and abs(r4) <= 1e-11
+        out, stages = closed_form_step(pt, HarmonicParams(m=1.0, omega=W, h=0.05))
+        params = harmonic_nl_params()
+        _, _, q_next, forces = step_residual(stages, pt.p, pt.q, params)
+        p_next = pt.p - params.h * (forces + params.potential.dV(q_next)) / 12.0
+        assert abs(q_next - out.q) <= 1e-12 and abs(p_next - out.p) <= 1e-11
 
-    def test_free_motion_iff_drift(self):
+    def test_free_motion_is_drift(self):
         params = StepParams(m=2.0, h=0.25, potential=free_potential())
         p0, q0 = 1.2, 0.3
-        drift = q0 + 0.25 * p0 / 2.0
-        good = (0.0, 0.0, p0, drift)
-        r3, r4 = step_residual(good, p0, q0, params)[2:]
-        assert abs(r3) <= 1e-15 and abs(r4) <= 1e-15
-        bad_p = (0.0, 0.0, p0 + 1e-3, drift)
-        r3, r4 = step_residual(bad_p, p0, q0, params)[2:]
-        assert abs(r3) > 1e-4
-        bad_q = (0.0, 0.0, p0, drift + 1e-3)
-        r3, r4 = step_residual(bad_q, p0, q0, params)[2:]
-        assert abs(r4) > 1e-4
+        for stages in ((0.0, 0.0), (0.5, -0.7)):
+            assert step_residual(stages, p0, q0, params)[2:] == (q0 + 0.25 * p0 / 2.0, 0.0)
 
 
 class TestJacobian:
     def test_zero_curvature_structure(self):
         params = StepParams(m=2.0, h=0.3, potential=free_potential())
-        u = (0.1, 0.2, 0.3, 0.4)
-        J = jacobian_dFL(u, params)
-        want = np.eye(4)
-        want[0, 3] = -XI
-        want[1, 3] = -(1.0 - XI)
-        want[3, 2] = -0.3 / (2.0 * 2.0)
-        assert np.max(np.abs(J - want)) < 1e-15
+        assert jacobian_dFL((0.1, 0.2), params) == ((1.0, 0.0), (0.0, 1.0))
 
     def test_determinant_closed_form(self):
         """det = 1 + (h^2/60m)(V2a + V2b) + (h^4/1800 m^2) V2a V2b; the
@@ -176,15 +171,15 @@ class TestJacobian:
     def test_against_finite_difference(self):
         params = pendulum_params(h=0.04, m=1.3)
         p_j, q_j = 0.5, 0.9
-        u0 = np.array([0.8, 1.0, 0.45, 1.05])
+        u0 = np.array([0.8, 1.0])
 
         def residual(vec):
-            return np.array(step_residual(tuple(vec), p_j, q_j, params))
+            return np.array(step_residual(tuple(vec), p_j, q_j, params)[:2])
 
         J = np.array(jacobian_dFL(tuple(u0), params))
         eps = 1e-6
-        for col in range(4):
-            step = np.zeros(4)
+        for col in range(2):
+            step = np.zeros(2)
             step[col] = eps
             fd = (residual(u0 + step) - residual(u0 - step)) / (2.0 * eps)
             assert np.max(np.abs(J[:, col] - fd)) < 1e-6
@@ -218,9 +213,9 @@ class TestNewton:
         sq, sp = max(1.0, abs(q)), max(1.0, abs(p))
         for g, w, scale in zip(got, want, (sq, sq, sp, sq)):
             assert abs(g - w) <= 1e-12 * scale
-        residual = step_residual(got, p, q, params)
-        scaled = [abs(r) / s for r, s in zip(residual, (sq, sq, sp, sq))]
-        assert max(scaled) <= lobvi.pendulum.TOL
+        r1, r2, q_next, _ = step_residual(got[:2], p, q, params)
+        assert q_next == got[3]
+        assert stops(r1, r2, q, got[:2], q_next)
 
     def test_iteration_budget_on_table_setup(self):
         params = pendulum_params()
@@ -249,16 +244,15 @@ class TestNewton:
             assert math.isfinite(info.value.residual)
 
     def test_non_finite_residual_is_not_converged(self):
-        # the NaN sits past the first residual term, where max() would drop it
+        # V' is NaN only at q_next = 1.0, which enters the momentum update alone
         nan_above_one = PotentialModel(
             "nan-above-one", lambda q: 0.0, lambda q: 0.0 if q < 1.0 else math.nan,
             lambda q: 0.0,
         )
         params = StepParams(m=1.0, h=0.1, potential=nan_above_one)
-        # the solver's start: q_next at the free drift 1.0, interior nodes on the line
-        guess = ((1.0 - XI) * 0.5 + XI, XI * 0.5 + (1.0 - XI), 5.0, 1.0)
-        first = step_residual(guess, 5.0, 0.5, params)
-        assert first[:2] == (0.0, 0.0) and all(map(math.isnan, first[2:]))
+        # the solver's start: interior nodes on the line to the free drift 1.0
+        guess = ((1.0 - XI) * 0.5 + XI, XI * 0.5 + (1.0 - XI))
+        assert step_residual(guess, 5.0, 0.5, params) == (0.0, 0.0, 1.0, 0.0)
         with pytest.raises(NewtonError) as info:
             newton_step_solve(5.0, 0.5, params)
         assert (info.value.reason, info.value.iterations) == ("non-finite residual", 0)
@@ -294,8 +288,10 @@ def counting_potential(base):
 
 
 class TestForceEvaluations:
-    """V' is evaluated once per node per residual: 1 + 3 (iterations + 1)
-    times per Lobatto step, iterations + 1 times per midpoint step."""
+    """V' is evaluated once per interior node per residual, plus once at q_j
+    and once at q_next: 2 + 2 (iterations + 1) times per Lobatto step, and
+    V'' once per interior node per Jacobian; iterations + 1 and iterations
+    times per midpoint step."""
 
     starts = [PhasePoint(0.0, 0.0), PhasePoint(0.0, math.pi / 2.0), PhasePoint(2.0, 3.0)]
 
@@ -305,7 +301,7 @@ class TestForceEvaluations:
         for pt in self.starts:
             pot, calls = counting_potential(pendulum_potential(1.0, W))
             _, used = newton_step_solve(pt.p, pt.q, StepParams(m=1.0, h=h, potential=pot))
-            assert calls == {"dV": 1 + 3 * (used + 1), "d2V": 3 * used}
+            assert calls == {"dV": 2 + 2 * (used + 1), "d2V": 2 * used}
             seen.add(used)
         assert 0 in seen and len(seen) > 1
 
@@ -362,6 +358,24 @@ class TestStepAndRun:
         drift = [abs(energy(pt, params.potential, params.m) - h0) for pt in pts]
         one_period_band = max(drift[: 50 + 1])
         assert max(drift) <= 5.0 * one_period_band
+
+    def test_no_mass_on_the_grid_fails_or_moves_the_positions(self):
+        """Amplitudes 0.1 to 3.0, N = 10, 47 and 200, 3 periods: every mass
+        converges, and the positions stay those of m = 1.  The residual is a
+        position, so the stop does not see the mass; the worst |q(m) - q(1)|
+        measured on this grid is 4.7e-10."""
+        worst = 0.0
+        for q0 in (i / 10.0 for i in range(1, 31)):
+            period = PendulumExact(q0=q0, omega=W, m=1.0).period
+            for n in (10, 47, 200):
+                runs = {}
+                for m in (1.0, 1e2, 1e4, 1e6):
+                    params = StepParams(m=m, h=period / n, potential=pendulum_potential(m, W))
+                    start = pendulum_exact(0.0, PendulumExact(q0=q0, omega=W, m=m))
+                    runs[m] = run_pendulum(start, params, 3 * n).points
+                for m in (1e2, 1e4, 1e6):
+                    worst = max(worst, *(abs(a.q - b.q) for a, b in zip(runs[m], runs[1.0])))
+        assert worst <= 1e-9
 
     def test_run_return_shapes(self):
         """Every stepper returns one Run(points, iterations, discrete_energies).
