@@ -1,10 +1,9 @@
 """Error norms, convergence orders, energy-drift tracking, stability probing.
 
 Conventions fixed here so every experiment reports the same quantities:
-errors are infinity norms sampled at mesh nodes only, the energy reference
-is the value at the first record entry, and the drift growth rate is the
-slope of an ordinary least-squares fit through the running per-period
-maxima (the fit choice is echoed in the CLI output metadata).
+errors are infinity norms sampled at mesh nodes only, and the energy
+reference is the value at the first record entry, for the errors and for
+the drift's running per-period maxima alike.
 """
 
 from __future__ import annotations
@@ -115,14 +114,13 @@ def convergence_table(meshes: Sequence[int], errors: dict, scales: dict) -> dict
     return orders
 
 
-def energy_drift_series(energies: Sequence[float], periods: int) -> tuple:
-    """Running energy-error maxima per period, plus a linear growth rate.
+def energy_drift_series(energies: Sequence[float], periods: int) -> list:
+    """Running maxima of |E - E0| over the first 1, 2, ..., periods periods.
 
     `energies` holds one value per node of a fixed-step run over `periods`
     equal periods, so period i ends at node i * (len(energies) - 1) // periods.
-    Returns (series, rate) where series holds (period index, running max
-    |E - E0|) pairs and rate is their OLS slope (the last maximum if that
-    is inf or NaN).
+    Entry i - 1 of the returned list is the maximum over periods 1 to i; a
+    NaN error stays in every later entry.
     """
     if periods < 1:
         raise ValueError("periods must be at least 1")
@@ -140,18 +138,8 @@ def energy_drift_series(energies: Sequence[float], periods: int) -> tuple:
             # max(running, nan) drops the NaN, but max(nan, err) keeps it
             running = err if math.isnan(err) else max(running, err)
         j = end + 1
-        out.append((i, running))
-    if periods < 2:
-        rate = 0.0
-    elif not math.isfinite(running):  # an early inf makes fsum raise on -inf + inf
-        rate = running
-    else:
-        # closed-form OLS slope over the indices 1..periods: the centred
-        # indices sum to zero, so the mean of the series drops out
-        mid = (periods + 1) / 2.0
-        spread = periods * (periods * periods - 1) / 12.0
-        rate = math.fsum((i - mid) * v for i, v in out) / spread
-    return out, rate
+        out.append(running)
+    return out
 
 
 @dataclass(frozen=True)

@@ -372,15 +372,11 @@ def _drift_lines(config: ExperimentConfig) -> tuple:
     else:
         observable = "H"
         energies = [energy(pt, step.potential, step.m) for pt in stepper(*args).points]
-    series, rate = energy_drift_series(energies, config.periods)
-    lines = [
-        f"# observable: {observable}",
-        f"# rate: {_FMT(rate)} per period (ols slope of running max)",
-        "period,err",
-    ]
-    for i, v in series:
+    series = energy_drift_series(energies, config.periods)
+    lines = [f"# observable: {observable}", f"# reference: {_FMT(energies[0])}", "period,err"]
+    for i, v in enumerate(series, 1):
         lines.append(f"{i},{_FMT(v)}")
-    return lines, f"{observable} rate {rate:.3e} per period"
+    return lines, f"{observable} max drift {series[-1]:.3e} after {config.periods} periods"
 
 
 def _stability_lines(config: ExperimentConfig) -> tuple:

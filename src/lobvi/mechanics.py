@@ -114,4 +114,5 @@ def free_potential() -> PotentialModel:
 
 def energy(point: PhasePoint, potential: PotentialModel, m: float) -> float:
     """Continuous energy H(p, q) = p^2 / 2m + V(q)."""
-    return point.p * point.p / (2.0 * m) + potential.V(point.q)
+    # not p * p / 2m: p * p leaves the float range for masses far from 1
+    return point.p * (point.p / (2.0 * m)) + potential.V(point.q)

@@ -276,12 +276,12 @@ def pendulum_landen(t: float, q0: float, omega: float, m: float) -> PhasePoint:
     return PhasePoint(p, q)
 
 
-def drift_by_time(times, energies, window: int) -> tuple:
+def drift_by_time(times, energies, window: int) -> list:
     """Running |E - E0| maxima per period, with the periods cut by time.
 
     Period i ends at the last node whose time is within 1e-9 periods of
     t0 + i * span / window; the last period takes every node left.
-    Returns (series, rate) as `lobvi.analysis.energy_drift_series` does.
+    Returns the list of maxima as `lobvi.analysis.energy_drift_series` does.
     """
     t0 = times[0]
     period = (times[-1] - t0) / window
@@ -296,13 +296,5 @@ def drift_by_time(times, energies, window: int) -> tuple:
             err = abs(energies[j] - ref)
             running = err if math.isnan(err) else max(running, err)
             j += 1
-        out.append((i, running))
-    if window < 2:
-        rate = 0.0
-    elif not math.isfinite(running):
-        rate = running
-    else:
-        mid = (window + 1) / 2.0
-        spread = window * (window * window - 1) / 12.0
-        rate = math.fsum((i - mid) * v for i, v in out) / spread
-    return out, rate
+        out.append(running)
+    return out

@@ -76,6 +76,10 @@ class TestEnergy:
     def test_kinetic_only(self):
         assert energy(PhasePoint(3.0, 0.0), free_potential(), 2.0) == 2.25
 
+    def test_momentum_and_mass_past_the_square_root_of_the_float_range(self):
+        # p * p overflows at p = 1e200, but H = p^2 / 2m = 5e199 does not
+        assert energy(PhasePoint(1e200, 0.0), free_potential(), 1e200) == 5e199
+
     @given(p=st.floats(-5.0, 5.0), q=qs)
     def test_split(self, p, q):
         pot = pendulum_potential(1.0, 2.0)
