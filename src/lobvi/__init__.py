@@ -29,7 +29,6 @@ from .exact import (
 from .harmonic import (
     EliminationError,
     HarmonicParams,
-    TransferMatrix,
     center_residual,
     discrete_energy,
     discrete_energy_series,

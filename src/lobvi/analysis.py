@@ -171,12 +171,12 @@ def stability_scan(hw_grid: Sequence[float], steps: int) -> StabilityScan:
 
     verdicts = []
     for g in grid:
-        tm = transfer_matrix(HarmonicParams(m=1.0, omega=1.0, h=g))
+        phi = transfer_matrix(HarmonicParams(m=1.0, omega=1.0, h=g))
         pt = PhasePoint(0.0, 1.0)
         norm0 = max(abs(pt.p), abs(pt.q))
         worst = norm0
         for _ in range(steps):
-            pt = step_harmonic(pt, tm)
+            pt = step_harmonic(pt, phi)
             worst = max(worst, abs(pt.p), abs(pt.q))
             if worst > 10.0 * norm0:
                 break

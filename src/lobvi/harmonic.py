@@ -2,9 +2,10 @@
 
 Everything is a function of x = (h omega)^2.  While delta = (x - 30)(x - 10)
 stays positive the two interior element nodes can be eliminated exactly,
-which yields a reduced two-point Lagrangian, a 2x2 transfer matrix for
-(p, q), and a conserved discrete quadratic energy.  The scheme is stable for
-h omega below sqrt(42 - 6 sqrt(29)) ~ 3.1127, slightly less than pi.
+which yields a reduced two-point Lagrangian, the one-step map Phi on (p, q),
+a 2x2 with det Phi = 1, and a conserved discrete quadratic energy.  The
+scheme is stable for h omega below sqrt(42 - 6 sqrt(29)) ~ 3.1127, slightly
+less than pi.
 
 transfer_matrix and the diagnostic helpers (center_residual, taylor_samples,
 truncation_leading_term) use plain arithmetic and take every constant in the
@@ -48,28 +49,6 @@ class HarmonicParams:
         _require("m", self.m, self.m > 0.0, "positive")
         _require("omega", self.omega, self.omega >= 0.0, "nonnegative")
         _require("h", self.h, self.h != 0.0, "nonzero")
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """One-step map Phi = [[a, b], [c, a]] / delta acting on (p, q).
-
-    delta = 1 + x/30 + x^2/1800 is positive for every x >= 0, so the matrix
-    is evaluable past the stability limit.  a^2 - b c = delta^2
-    identically, hence det Phi = 1.
-    """
-
-    delta: float
-    a: float
-    b: float
-    c: float
-
-    @property
-    def phi(self) -> tuple:
-        return (
-            (self.a / self.delta, self.b / self.delta),
-            (self.c / self.delta, self.a / self.delta),
-        )
 
 
 def _x(params: HarmonicParams) -> float:
@@ -158,8 +137,14 @@ def stability_limit() -> float:
     return math.sqrt(42.0 - 6.0 * math.sqrt(29.0))
 
 
-def transfer_matrix(params: HarmonicParams) -> TransferMatrix:
-    """Coefficients of the one-step map, Horner-evaluated in x = (h omega)^2."""
+def transfer_matrix(params: HarmonicParams) -> tuple:
+    """The one-step map Phi = ((a, b), (c, a)) / delta on (p, q), as two rows.
+
+    a, b, c and delta are Horner-evaluated in x = (h omega)^2 and divided
+    once, in the number type of the inputs.  delta = 1 + x/30 + x^2/1800 is
+    positive for every x >= 0, so the map is evaluable past the stability
+    limit, and a^2 - b c = delta^2 identically, hence det Phi = 1.
+    """
     x = _x(params)
     m, h, omega = params.m, params.h, params.omega
     one = type(x)(1)  # not x ** 0: a Decimal 0 ** 0 (omega = 0) is NaN
@@ -167,24 +152,25 @@ def transfer_matrix(params: HarmonicParams) -> TransferMatrix:
     a = 1 + x * (-7 * one / 15 + x * (23 * one / 900 + x * (-one / 3600)))
     b = m * h * omega ** 2 * (-43200 + x * (5760 + x * (-144 + x))) / 43200
     c = h / m * (1 + x * (-2 * one / 15 + x * (one / 300)))
-    return TransferMatrix(delta=delta, a=a, b=b, c=c)
+    d = a / delta
+    return ((d, b / delta), (c / delta, d))
 
 
-def step_harmonic(point: PhasePoint, tm: TransferMatrix) -> PhasePoint:
-    """(p, q) -> Phi (p, q)."""
-    p = (tm.a * point.p + tm.b * point.q) / tm.delta
-    q = (tm.c * point.p + tm.a * point.q) / tm.delta
-    return PhasePoint(p, q)
+def step_harmonic(point: PhasePoint, phi: tuple) -> PhasePoint:
+    """(p, q) -> Phi (p, q) for phi = transfer_matrix(params); no division."""
+    (a, b), (c, d) = phi
+    return PhasePoint(a * point.p + b * point.q, c * point.p + d * point.q)
 
 
-def discrete_energy(point: PhasePoint, tm: TransferMatrix) -> float:
-    """H_d = (c p^2 - b q^2) / 2 delta; invariant under step_harmonic.
+def discrete_energy(point: PhasePoint, phi: tuple) -> float:
+    """H_d = (Phi21 p^2 - Phi12 q^2) / 2; invariant under step_harmonic.
 
-    Positive definite in the stable region, where c > 0 and -b > 0.  Scales
-    as h * H(p, q) for small x, so it is an action-like quantity, not the
-    continuous energy.
+    phi is transfer_matrix(params).  Positive definite in the stable region,
+    where Phi21 > 0 and -Phi12 > 0.  Scales as h * H(p, q) for small x, so
+    it is an action-like quantity, not the continuous energy.
     """
-    return (tm.c * point.p * point.p - tm.b * point.q * point.q) / (2.0 * tm.delta)
+    (_, b), (c, _) = phi
+    return (c * point.p * point.p - b * point.q * point.q) / 2.0
 
 
 def truncation_leading_term(params: HarmonicParams, q: float) -> float:
@@ -242,7 +228,7 @@ def _decimal_start(point: PhasePoint, params: HarmonicParams, n_steps: int) -> t
     if n_steps < 1:
         raise ValueError("need at least one step")
     exact = HarmonicParams(Decimal(params.m), Decimal(params.omega), Decimal(params.h))
-    (a, b), (c, _) = transfer_matrix(exact).phi
+    (a, b), (c, _) = transfer_matrix(exact)
     return a, b, c, Decimal(point.p), Decimal(point.q)
 
 

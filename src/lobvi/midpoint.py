@@ -30,16 +30,20 @@ def step_midpoint(point: PhasePoint, params: StepParams) -> tuple:
         # the force at the midpoint serves the residual and, once converged, p1
         force = dV(0.5 * (q0 + x))
         g = x - q0 - h / m * p0 + h * h / (2.0 * m) * force
-        # g is a position, scaled by the larger of |q0| and |x|: a zero scale admits only g = 0
+        # g is a position, scaled by the larger of |q0| and |x|, with the
+        # floor at the least subnormal that the Lobatto solver uses
         scale = max(abs(q0), abs(x))
-        if abs(g) <= tol * scale:
+        if abs(g) <= max(tol * scale, 5e-324):
             return PhasePoint(p0 - h * force, x), used
         res = abs(g) / scale if scale else math.inf
         if not math.isfinite(g):
             raise NewtonError("non-finite residual", residual=res, iterations=used)
         if used == max_iter:
             raise NewtonError("no convergence", residual=res, iterations=used)
-        dx = g / (1.0 + h * h / (4.0 * m) * d2V(0.5 * (q0 + x)))
+        dg = 1.0 + h * h / (4.0 * m) * d2V(0.5 * (q0 + x))
+        if dg == 0.0 or not math.isfinite(dg):
+            raise NewtonError("singular Jacobian", residual=res, iterations=used)
+        dx = g / dg
         if abs(dx) > pendulum.MAX_STEP:
             raise NewtonError("diverged", residual=res, iterations=used)
         x -= dx

@@ -21,7 +21,8 @@ from .quadrature import SQRT5, XI
 
 # One stopping rule for both implicit schemes: stop once the residual, a
 # position, is at most TOL times the largest position of the step (1e-14 puts
-# every Table 2 entry within 2% of print), fail after MAX_ITER iterations, and
+# every Table 2 entry within 2% of print) or at most 5e-324, the least
+# subnormal, where that product underflows; fail after MAX_ITER iterations, and
 # call a Newton increment larger than MAX_STEP divergence (quadratic
 # convergence never gets near it).
 TOL = 1e-14
@@ -142,8 +143,9 @@ def newton_step_solve(p_j: float, q_j: float, params: StepParams) -> tuple:
     between q_j and the free-drift prediction (exact for V = 0, O(h^2)
     otherwise), solving the 2x2 Jacobian by Cramer's rule.  r1 and r2 are
     positions, so it stops at max(|r1|, |r2|) <= TOL max(|q_j|, |q_xi|,
-    |q_xic|, |q_next|) for any mass, and a zero scale admits only a zero
-    residual.  p_next follows once, after convergence.
+    |q_xic|, |q_next|) for any mass.  Below a scale of about 5e-310 that
+    bound underflows to 0, so it is floored at the least subnormal, 5e-324.
+    p_next follows once, after convergence.
     """
     m, h = params.m, params.h
     dv_j = params.potential.dV(q_j)
@@ -156,7 +158,7 @@ def newton_step_solve(p_j: float, q_j: float, params: StepParams) -> tuple:
         if not math.isfinite(r1 + r2):
             raise NewtonError("non-finite residual", residual=abs(r1) + abs(r2), iterations=used)
         size, scale = max(abs(r1), abs(r2)), max(abs(q_j), abs(a), abs(b), abs(n))
-        if size <= TOL * scale:
+        if size <= max(TOL * scale, 5e-324):
             p = p_j - h * (forces + params.potential.dV(n)) / 12.0
             if not math.isfinite(p):
                 # V'(q_next) enters only here: the momentum update's residual is NaN

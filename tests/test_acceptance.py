@@ -6,6 +6,7 @@ as stated; published table values are matched within 2 percent.
 """
 
 import math
+from fractions import Fraction
 from time import perf_counter
 
 import numpy as np
@@ -169,20 +170,35 @@ def test_table_one_reproduction():
 
 
 def test_linear_symplecticity():
+    samples = [
+        (float(hw) / W, m) for hw in np.linspace(0.01, 3.1, 40) for m in (0.5, 1.0, 2.0, 5.0, 10.0)
+    ]
     t0 = perf_counter()
     worst = 0.0
-    for hw in np.linspace(0.01, 3.1, 40):
-        for m in (0.5, 1.0, 2.0, 5.0, 10.0):
-            tm = transfer_matrix(HarmonicParams(m=m, omega=W, h=float(hw) / W))
-            det = (tm.a * tm.a - tm.b * tm.c) / (tm.delta * tm.delta)
-            worst = max(worst, abs(det - 1.0))
+    for h, m in samples:
+        (a, b), (c, d) = transfer_matrix(HarmonicParams(m=m, omega=W, h=h))
+        worst = max(worst, abs(a * d - b * c - 1.0))
     elapsed = perf_counter() - t0
     report(
         "closed-form map determinant",
         worst <= 1e-13,
-        f"|det - 1| <= {worst:.1e} over 200 stable samples",
+        f"|det - 1| <= {worst:.1e} over {len(samples)} stable samples",
         elapsed,
         1e-2,
+    )
+    # the same Horner forms on the same inputs in exact rationals: no roundoff
+    t0 = perf_counter()
+    exact = 0
+    for h, m in samples:
+        (a, b), (c, d) = transfer_matrix(HarmonicParams(Fraction(m), Fraction(W), Fraction(h)))
+        exact += a * d - b * c == 1
+    elapsed = perf_counter() - t0
+    report(
+        "closed-form map determinant in rationals",
+        exact == len(samples) == 200,
+        f"det = 1 exactly on {exact} of {len(samples)} stable samples",
+        elapsed,
+        1.0,
     )
 
 
@@ -231,13 +247,13 @@ def test_nonlinear_consistency():
     t0 = perf_counter()
     n = 20
     hp = HarmonicParams(m=1.0, omega=W, h=1.0 / n)
-    tm = transfer_matrix(hp)
+    phi = transfer_matrix(hp)
     params = StepParams(m=1.0, h=1.0 / n, potential=harmonic_potential(1.0, W))
     newton_pts = run_pendulum(PhasePoint(0.0, math.pi / 2.0), params, n).points
     worst = 0.0
     linear = PhasePoint(0.0, math.pi / 2.0)
     for j in range(1, n + 1):
-        linear = step_harmonic(linear, tm)
+        linear = step_harmonic(linear, phi)
         worst = max(
             worst, abs(linear.p - newton_pts[j].p), abs(linear.q - newton_pts[j].q)
         )

@@ -866,8 +866,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "args, observable, value",
         [(["--amplitude", "1e-300"], "H", "0.0"), (["--amplitude", "1e301"], "H", "nan"),
-         (["--mass", "1e-320"], "H", "1.5e-323")],
-        ids=["amplitude", "huge-amplitude", "subnormal-mass"],
+         (["--mass", "1e-320"], "H", "1.5e-323"),
+         (["--scheme", "midpoint", "--amplitude", "1e-320"], "H", "0.0")],
+        ids=["amplitude", "huge-amplitude", "subnormal-mass", "subnormal-midpoint"],
     )
     def test_degenerate_convergence_is_config_error(self, tmp_path, args, observable, value):
         out = tmp_path / "c.csv"
@@ -899,6 +900,21 @@ class TestExitCodes:
                                    "--mass", "1e4", "--amplitude", "2.5", "--out", "-"])
         assert code == 0, err
         assert len(buf.getvalue().splitlines()) == 32
+
+    # below positions of about 5e-310 TOL times the scale underflows to 0; the
+    # stop is floored at the least subnormal, so both solvers still converge
+    @pytest.mark.parametrize(
+        "args, nodes",
+        [(["--amplitude", "1e-320"], 11), (["--amplitude", "1e-315", "--meshes", "47"], 48),
+         (["--scheme", "midpoint", "--amplitude", "1e-315"], 11)],
+        ids=["lobatto", "lobatto-47", "midpoint"],
+    )
+    def test_subnormal_release_angle_converges(self, args, nodes):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code, err = call_main(["trajectory", "--system", "pendulum", *args, "--out", "-"])
+        assert code == 0, err
+        assert len(buf.getvalue().splitlines()) == nodes + 1
 
     @pytest.mark.parametrize("command", ["trajectory", "convergence"])
     def test_periods_past_the_float_range_is_config_error(self, tmp_path, command):

@@ -1,6 +1,7 @@
 import math
 import struct
 from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -191,96 +192,97 @@ class TestRightMomentum:
 
 class TestTransferMatrix:
     def test_free_drift(self):
-        tm = transfer_matrix(HarmonicParams(m=2.0, omega=0.0, h=0.3))
-        phi = np.array(tm.phi)
+        phi = np.array(transfer_matrix(HarmonicParams(m=2.0, omega=0.0, h=0.3)))
         assert np.max(np.abs(phi - np.array([[1.0, 0.0], [0.15, 1.0]]))) < 1e-15
 
     def test_determinant_over_stable_samples(self):
-        count = 0
-        for hw in np.linspace(0.01, 3.1, 40):
-            for m in (0.5, 1.0, 2.0, 5.0, 10.0):
-                tm = transfer_matrix(HarmonicParams(m=m, omega=float(hw), h=1.0))
-                det = (tm.a * tm.a - tm.b * tm.c) / (tm.delta * tm.delta)
-                assert abs(det - 1.0) <= 1e-13
-                count += 1
-        assert count == 200
+        # floats within 1e-13 of det = 1; the same Horner forms in rationals hit it exactly
+        for kind, bound in ((float, 1e-13), (Fraction, 0)):
+            count = 0
+            for hw in np.linspace(0.01, 3.1, 40):
+                for m in (0.5, 1.0, 2.0, 5.0, 10.0):
+                    params = HarmonicParams(m=kind(m), omega=kind(float(hw)), h=kind(1))
+                    (a, b), (c, d) = transfer_matrix(params)
+                    assert type(a) is kind
+                    assert abs(a * d - b * c - 1) <= bound
+                    count += 1
+            assert count == 200
 
     def test_single_step_tracks_exact_solution(self):
-        tm = transfer_matrix(TABLE_PARAMS)
+        phi = transfer_matrix(TABLE_PARAMS)
         w = TABLE_PARAMS.omega
-        out = step_harmonic(PhasePoint(0.0, math.pi / 2.0), tm)
+        out = step_harmonic(PhasePoint(0.0, math.pi / 2.0), phi)
         assert abs(out.p - (-(math.pi / 2.0) * w * math.sin(w * 0.1))) < 1e-5
         assert abs(out.q - (math.pi / 2.0) * math.cos(w * 0.1)) < 1e-6
 
     @given(m=masses, h=steps, w=omegas)
     def test_negative_b_in_stable_region(self, m, h, w):
         params = stable_params(m, h, w)
-        tm = transfer_matrix(params)
-        assert tm.delta > 0.0
-        assert -tm.b > 0.0
+        (_, b), (c, _) = transfer_matrix(params)
+        assert c > 0.0
+        assert -b > 0.0
 
     def test_stability_flag(self):
         # the verdict |h| omega < stability_limit() holds where the half-trace
-        # a/delta of the map lies inside (-1, 1), below the re-entrant window
+        # Phi11 of the map lies inside (-1, 1), below the re-entrant window
         for scale in (0.9, 0.99, 0.999, 1.001, 1.01):
             params = HarmonicParams(m=1, omega=scale * stability_limit(), h=1)
-            tm = transfer_matrix(params)
-            assert (abs(tm.a) < tm.delta) == (abs(params.h) * params.omega < stability_limit())
+            (a, _), _ = transfer_matrix(params)
+            assert (abs(a) < 1.0) == (abs(params.h) * params.omega < stability_limit())
 
     @given(m=masses, h=steps, w=omegas)
     def test_time_reversal(self, m, h, w):
         params = stable_params(m, h, w)
-        fwd = np.array(transfer_matrix(params).phi)
-        back = np.array(
-            transfer_matrix(HarmonicParams(m=m, omega=w, h=-h)).phi
-        )
+        fwd = np.array(transfer_matrix(params))
+        back = np.array(transfer_matrix(HarmonicParams(m=m, omega=w, h=-h)))
         assert np.max(np.abs(fwd @ back - np.eye(2))) <= 1e-12
 
     @given(m=masses, h=steps, w=st.one_of(st.just(0.0), omegas))
     @example(m=1.0, h=0.1, w=2.0 * math.pi)
     @example(m=2.0, h=0.3, w=0.0)
     def test_decimal_fields_are_evaluated_in_decimal(self, m, h, w):
-        """The Decimal map rounds to the 50-digit coefficients within 1 ulp.
+        """The Decimal map rounds to the 50-digit ratios within 1 ulp.
 
-        delta also matches the float path to 1 ulp.  The float a, b and c
-        carry the rounding of their Horner forms: b is several ulp off, and
-        a far more where it crosses zero near h omega = pi/2.
+        Its diagonal is one value, and the float half-trace, which decides
+        stability, is within 4 ulp(1) of it.  The float off-diagonal entries
+        carry the rounding of their Horner forms and are several ulp off.
         """
         params = HarmonicParams(m=m, omega=w, h=h)
-        fl = transfer_matrix(params)
+        (fl, _), _ = transfer_matrix(params)
         with localcontext(Context(prec=34)):
-            tm = transfer_matrix(HarmonicParams(Decimal(m), Decimal(w), Decimal(h)))
+            (a, b), (c, d) = transfer_matrix(HarmonicParams(Decimal(m), Decimal(w), Decimal(h)))
             c_free = Decimal(h) / Decimal(m)
-        coefficients = (tm.delta, tm.a, tm.b, tm.c)
-        assert all(isinstance(v, Decimal) for v in coefficients)
-        for v, ref in zip(coefficients, exact_coefficients(params)):
+        assert all(isinstance(v, Decimal) for v in (a, b, c, d))
+        assert a == d
+        delta, *coefficients = exact_coefficients(params)
+        with mp.workdps(50):
+            ratios = [v / delta for v in coefficients]
+        for v, ref in zip((a, b, c), ratios):
             assert abs(float(v) - nearest_float(ref)) <= math.ulp(float(v))
-        assert abs(float(tm.delta) - fl.delta) <= math.ulp(fl.delta)
+        assert abs(float(a) - fl) <= 4.0 * math.ulp(1.0)
         if w == 0.0:
-            assert (tm.delta, tm.a, tm.b, tm.c) == (1, 1, 0, c_free)
+            assert ((a, b), (c, d)) == ((1, 0), (c_free, 1))
 
 
 class TestStepHarmonic:
     def test_fixed_point(self):
-        tm = transfer_matrix(TABLE_PARAMS)
-        out = step_harmonic(PhasePoint(0.0, 0.0), tm)
+        out = step_harmonic(PhasePoint(0.0, 0.0), transfer_matrix(TABLE_PARAMS))
         assert out.p == 0.0 and out.q == 0.0
 
     def test_bounded_inside_stability_region(self):
-        tm = transfer_matrix(HarmonicParams(m=1.0, omega=3.0, h=1.0))
+        phi = transfer_matrix(HarmonicParams(m=1.0, omega=3.0, h=1.0))
         pt = PhasePoint(0.0, 1.0)
         worst = 1.0
         for _ in range(5000):
-            pt = step_harmonic(pt, tm)
+            pt = step_harmonic(pt, phi)
             worst = max(worst, abs(pt.p) / 3.0, abs(pt.q))
         assert worst <= 10.0
 
     def test_update_equations_hold(self):
         """Momentum convention: p_j = -dL_r/dq_l, p_{j+1} = +dL_r/dq_r."""
         params = TABLE_PARAMS
-        tm = transfer_matrix(params)
         pt = PhasePoint(0.7, 0.9)
-        out = step_harmonic(pt, tm)
+        out = step_harmonic(pt, transfer_matrix(params))
         p_right = right_momentum(pt.q, out.q, params)
         # L_r is symmetric, so dL_r/dq_l (q0, q1) = right_momentum(q1, q0)
         p_left = right_momentum(out.q, pt.q, params)
@@ -297,13 +299,13 @@ class TestDiscreteEnergy:
         assert max(abs(v - hds[0]) for v in hds) <= 5e-15
 
     def test_relative_drift_long_run_plain_arithmetic(self):
-        tm = transfer_matrix(TABLE_PARAMS)
+        phi = transfer_matrix(TABLE_PARAMS)
         pt = PhasePoint(0.0, math.pi / 2.0)
-        h0 = discrete_energy(pt, tm)
+        h0 = discrete_energy(pt, phi)
         worst = 0.0
         for _ in range(1000):
-            pt = step_harmonic(pt, tm)
-            worst = max(worst, abs(discrete_energy(pt, tm) - h0))
+            pt = step_harmonic(pt, phi)
+            worst = max(worst, abs(discrete_energy(pt, phi) - h0))
         assert worst <= 1e-12 * abs(h0)
 
     @given(p=lengths, q=lengths, m=masses, h=steps, w=omegas)
@@ -324,10 +326,10 @@ class TestStabilityLimit:
     def test_spectral_transition(self):
         lim = stability_limit()
         inside = np.linalg.eigvals(
-            np.array(transfer_matrix(HarmonicParams(m=1, omega=0.99 * lim, h=1)).phi)
+            np.array(transfer_matrix(HarmonicParams(m=1, omega=0.99 * lim, h=1)))
         )
         outside = np.linalg.eigvals(
-            np.array(transfer_matrix(HarmonicParams(m=1, omega=1.01 * lim, h=1)).phi)
+            np.array(transfer_matrix(HarmonicParams(m=1, omega=1.01 * lim, h=1)))
         )
         assert np.allclose(np.abs(inside), 1.0, atol=1e-9)
         assert np.max(np.abs(outside.imag)) == 0.0

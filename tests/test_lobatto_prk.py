@@ -92,7 +92,7 @@ class TestOscillatorStep:
         # the float solve of the stage equations is itself up to 9e-16 off
         # the exact map, and transfer_matrix up to 5e-16
         for hw in np.linspace(0.05, 3.12, 308):
-            want = np.array(transfer_matrix(HarmonicParams(m=1.0, omega=1.0, h=hw)).phi)
+            want = np.array(transfer_matrix(HarmonicParams(m=1.0, omega=1.0, h=hw)))
             assert np.max(np.abs(lobatto_phi(hw) - want)) <= 2e-15
 
     def test_stability_limit_from_the_tableau(self):

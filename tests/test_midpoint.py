@@ -5,7 +5,13 @@ import pytest
 from lobvi.analysis import map_jacobian_determinant
 from lobvi.exact import HarmonicExact, PendulumExact, harmonic_exact, pendulum_exact
 from lobvi.harmonic import HarmonicParams, run_harmonic
-from lobvi.mechanics import PhasePoint, StepParams, harmonic_potential, pendulum_potential
+from lobvi.mechanics import (
+    PhasePoint,
+    PotentialModel,
+    StepParams,
+    harmonic_potential,
+    pendulum_potential,
+)
 from lobvi.midpoint import run_midpoint, step_midpoint
 import lobvi.pendulum
 from lobvi.pendulum import NewtonError
@@ -135,16 +141,20 @@ class TestRun:
 
     def test_failing_step_is_identified(self, monkeypatch):
         params = StepParams(m=1.0, h=0.3, potential=pendulum_potential(1.0, W))
+        # V'' = -4 makes the residual's derivative 1 + h^2 V''/4m zero at h = m = 1
+        inverted = StepParams(m=1.0, h=1.0, potential=PotentialModel(
+            "inverted", lambda q: -2.0 * q * q, lambda q: -4.0 * q, lambda q: -4.0))
         cases = [
-            (dict(TOL=1e-15, MAX_ITER=1), "no convergence"),
-            (dict(MAX_STEP=1e-12), "diverged"),
+            (params, PhasePoint(2.0, 1.0), dict(TOL=1e-15, MAX_ITER=1), "no convergence"),
+            (params, PhasePoint(2.0, 1.0), dict(MAX_STEP=1e-12), "diverged"),
+            (inverted, PhasePoint(1.0, 0.5), {}, "singular Jacobian"),
         ]
-        for constants, reason in cases:
+        for step_params, start, constants, reason in cases:
             with monkeypatch.context() as mp, pytest.raises(
                 NewtonError, match=r"step \d+ of 5"
             ) as info:
                 for name, value in constants.items():
                     mp.setattr(lobvi.pendulum, name, value)
-                run_midpoint(PhasePoint(2.0, 1.0), params, 5)
+                run_midpoint(start, step_params, 5)
             assert info.value.reason == reason
             assert 1 <= info.value.step <= 5 and info.value.n_steps == 5

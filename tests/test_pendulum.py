@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import lobvi.pendulum
@@ -55,9 +55,10 @@ lengths = st.floats(-3.0, 3.0, allow_nan=False)
 
 
 def stops(r1, r2, q_j, stages, q_next):
-    """The stop rule: max(|r1|, |r2|) at most TOL times the largest position."""
+    """The stop rule: max(|r1|, |r2|) at most TOL times the largest position,
+    or at most the least subnormal where that product underflows."""
     scale = max(abs(q_j), *map(abs, stages), abs(q_next))
-    return max(abs(r1), abs(r2)) <= lobvi.pendulum.TOL * scale
+    return max(abs(r1), abs(r2)) <= max(lobvi.pendulum.TOL * scale, 5e-324)
 
 
 def dense_newton(p_j, q_j, params):
@@ -205,6 +206,8 @@ class TestNewton:
         h=st.floats(-0.1, 0.1).filter(lambda h: abs(h) >= 1e-3),
         potential=st.sampled_from([pendulum_potential, harmonic_potential]),
     )
+    # at a subnormal position TOL times the scale underflows to 0
+    @example(p=0.0, q=2.2250738585e-313, h=0.0625, potential=pendulum_potential)
     def test_matches_dense_reference(self, p, q, h, potential):
         params = StepParams(m=1.0, h=h, potential=potential(1.0, W))
         want, want_used = dense_newton(p, q, params)
