@@ -164,11 +164,8 @@ def _number(raw):
 
 
 def _mesh_list(raw):
-    toks = [tok for tok in raw.replace(" ", "").split(",") if tok]
-    if not toks:
-        raise ValueError(f"empty mesh list {raw!r}")
     try:
-        return tuple(int(tok) for tok in toks)
+        return tuple(int(tok) for tok in raw.split(","))
     except ValueError:
         raise ValueError(f"invalid mesh list {raw!r}") from None
 

@@ -7,10 +7,10 @@ momentum is the analytic derivative p = -2 m k k' omega sn/dn, where
 k' = cos(q0/2); the tests check both against an independent RK4 oracle
 rather than trust them as transcriptions.
 
-Elliptic values come from bounded AGM / descending-Landen iterations; the
-moduli shrink quadratically, so 32 passes is far more than float64 needs,
-and the stop test uses a few-ulp band instead of an exact fixed point
-(consecutive AGM iterates can dither one ulp apart forever).
+K and the Jacobi functions come from one bounded AGM, read as a descending
+Landen sequence; the moduli shrink quadratically, so 31 passes is far more
+than float64 needs, and the stop test uses a few-ulp band instead of an exact
+fixed point (consecutive AGM iterates can dither one ulp apart forever).
 """
 
 from __future__ import annotations
@@ -44,6 +44,17 @@ def harmonic_exact(t: float, params: HarmonicExact) -> PhasePoint:
     return PhasePoint(-a * m * w * math.sin(w * t), a * math.cos(w * t))
 
 
+def _descend(k: float, kp: float) -> tuple:
+    """(a_n, (c_n/a_n, ..., c_1/a_1)): the AGM of 1 and k' run as the
+    descending Landen sequence of k, until c_n is a few ulp of a_n."""
+    a, b, c = 1.0, kp, k
+    ratios = []
+    while abs(c) > 4.0 * _EPS * a and len(ratios) < 31:
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        ratios.append(c / a)
+    return a, tuple(reversed(ratios))
+
+
 def complete_elliptic_K(k: float, kp: float | None = None) -> float:
     """Complete elliptic integral of the first kind, via the AGM.
 
@@ -53,12 +64,7 @@ def complete_elliptic_K(k: float, kp: float | None = None) -> float:
     """
     if not 0.0 <= k < 1.0:
         raise ValueError(f"modulus outside [0, 1): {k!r}")
-    a = 1.0
-    b = math.sqrt((1.0 - k) * (1.0 + k)) if kp is None else kp
-    for _ in range(32):
-        if abs(a - b) <= 4.0 * _EPS * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    a, _ = _descend(k, math.sqrt((1.0 - k) * (1.0 + k)) if kp is None else kp)
     return math.pi / (2.0 * a)
 
 
@@ -85,30 +91,19 @@ class PendulumExact:
         """k' = cos(q0/2), taken from q0: sqrt(1 - k^2) cancels as q0 nears pi."""
         return math.cos(0.5 * self.q0)
 
-    @cached_property
-    def elliptic_K(self) -> float:
-        """K(modulus), computed once per record."""
-        return complete_elliptic_K(self.modulus, self.complementary_modulus)
-
     @property
     def period(self) -> float:
-        return 4.0 * self.elliptic_K / self.omega
+        return self.landen[2] / self.omega
 
     @cached_property
     def landen(self) -> tuple:
         """(k, k', 4K, 2^n a_n, (c_n/a_n, ..., c_1/a_1)), computed once per record.
 
-        The descending Landen sequence of the modulus: run the AGM until c_n
-        is a few ulp of a_n, and keep the ratios in unwinding order.
+        K = pi / (2 a_n) and the unwinding ratios come from the one descent.
         """
         k, kp = self.modulus, self.complementary_modulus
-        a, b, c = 1.0, kp, k
-        ratios = []
-        while abs(c) > 4.0 * _EPS * a and len(ratios) < 31:
-            a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-            ratios.append(c / a)
-        scale = (2.0 ** len(ratios)) * a
-        return k, kp, 4.0 * self.elliptic_K, scale, tuple(reversed(ratios))
+        a, ratios = _descend(k, kp)
+        return k, kp, 4.0 * (math.pi / (2.0 * a)), (2.0 ** len(ratios)) * a, ratios
 
 
 def pendulum_exact(t: float, params: PendulumExact) -> PhasePoint:

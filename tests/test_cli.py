@@ -176,6 +176,9 @@ class TestParseConfig:
             ("mass", "heavy", "invalid number 'heavy'"),
             ("periods", "1.5", "invalid integer '1.5'"),
             ("meshes", "10,x", "invalid mesh list '10,x'"),
+            ("meshes", "1 0", "invalid mesh list '1 0'"),
+            ("meshes", "10,,20", "invalid mesh list '10,,20'"),
+            ("meshes", "10,", "invalid mesh list '10,'"),
             ("system", "kepler", "expected one of harmonic, pendulum, got 'kepler'"),
         ],
     )
