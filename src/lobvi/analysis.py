@@ -142,52 +142,46 @@ def energy_drift_series(energies: Sequence[float], periods: int) -> list:
     return out
 
 
+# h*omega from 2.80 to 3.16 at 0.01 spacing, across the onset at stability_limit()
+STABILITY_GRID = tuple((280 + i) / 100.0 for i in range(37))
+STABILITY_STEPS = 2000
+
+
 @dataclass(frozen=True)
 class StabilityScan:
-    """Boundedness verdict per grid value of (step x frequency)."""
+    """Boundedness verdict per STABILITY_GRID value of (step x frequency)."""
 
-    grid: tuple
     bounded: tuple
     transition: Optional[tuple]
 
 
-def stability_scan(hw_grid: Sequence[float], steps: int) -> StabilityScan:
-    """Probe boundedness of the closed-form update along an h*omega grid.
+def stability_scan() -> StabilityScan:
+    """Probe boundedness of the closed-form update along STABILITY_GRID.
 
     The map depends on h omega alone once p is scaled by m omega, so the
-    scan steps it at m = omega = 1 with h set to each grid value.  A grid
-    point is bounded when the phase norm max(|p|, |q|) never exceeds 10x its
-    initial value over the run; geometric growth of an unstable mode makes
-    any O(1) threshold equivalent.  The grid must stay inside (0, sqrt(10)),
-    where the update map is defined.
+    scan steps it STABILITY_STEPS times at m = omega = 1 from (p, q) = (0, 1),
+    with h set to each grid value.  A grid point is bounded when the phase
+    norm max(|p|, |q|) never exceeds 10 over the run; geometric growth of an
+    unstable mode makes any O(1) threshold equivalent.
     """
-    if steps < 1:
-        raise ValueError("need at least one step")
-    grid = tuple(float(g) for g in hw_grid)
-    top = math.sqrt(10.0)
-    for g in grid:
-        if not 0.0 < g < top:
-            raise ValueError(f"grid value {g!r} outside (0, sqrt(10))")
-
     verdicts = []
-    for g in grid:
+    for g in STABILITY_GRID:
         phi = transfer_matrix(HarmonicParams(m=1.0, omega=1.0, h=g))
         pt = PhasePoint(0.0, 1.0)
-        norm0 = max(abs(pt.p), abs(pt.q))
-        worst = norm0
-        for _ in range(steps):
+        worst = 1.0
+        for _ in range(STABILITY_STEPS):
             pt = step_harmonic(pt, phi)
             worst = max(worst, abs(pt.p), abs(pt.q))
-            if worst > 10.0 * norm0:
+            if worst > 10.0:
                 break
-        verdicts.append(worst <= 10.0 * norm0)
+        verdicts.append(worst <= 10.0)
 
     transition = None
     for i, ok in enumerate(verdicts):
         if not ok:
-            transition = (grid[i - 1], grid[i]) if i > 0 else (0.0, grid[i])
+            transition = (STABILITY_GRID[i - 1] if i > 0 else 0.0, STABILITY_GRID[i])
             break
-    return StabilityScan(grid=grid, bounded=tuple(verdicts), transition=transition)
+    return StabilityScan(bounded=tuple(verdicts), transition=transition)
 
 
 def map_jacobian_determinant(

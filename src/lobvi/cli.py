@@ -19,6 +19,7 @@ from itertools import repeat
 from typing import Optional, Sequence
 
 from .analysis import (
+    STABILITY_GRID,
     TrajectoryRecord,
     convergence_table,
     energy_drift_series,
@@ -38,10 +39,6 @@ _SCHEMES = ("lobatto", "midpoint")
 # options that set each field of the exact-reference and step records, and the last node time t
 _OPTION_OF_FIELD = {"m": "mass", "omega": "omega", "amplitude": "amplitude", "q0": "amplitude",
                     "h": "omega, meshes", "t": "omega, periods"}
-
-# the scan covers the upper end of the admissible range at 0.01 spacing
-_STABILITY_GRID = tuple((280 + i) / 100.0 for i in range(37))
-_STABILITY_STEPS = 2000
 
 _FMT = "{:.16e}".format
 
@@ -149,25 +146,24 @@ def _choice(choices):
     return conv
 
 
-def _integer(raw):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"invalid integer {raw!r}") from None
+def _reader(read, what):
+    """read(raw), or ValueError 'invalid <what>': text that is not ASCII or
+    holds `_` is invalid too, where int() and float() would take non-ASCII
+    digits and `_` as a digit separator."""
+    def conv(raw):
+        try:
+            if raw.isascii() and "_" not in raw:
+                return read(raw)
+        except ValueError:
+            pass
+        raise ValueError(f"invalid {what} {raw!r}")
+
+    return conv
 
 
-def _number(raw):
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"invalid number {raw!r}") from None
-
-
-def _mesh_list(raw):
-    try:
-        return tuple(int(tok) for tok in raw.split(","))
-    except ValueError:
-        raise ValueError(f"invalid mesh list {raw!r}") from None
+_integer = _reader(int, "integer")
+_number = _reader(float, "number")
+_mesh_list = _reader(lambda raw: tuple(int(tok) for tok in raw.split(",")), "mesh list")
 
 
 # each option's converter serves its flag and its config-file key alike
@@ -377,11 +373,11 @@ def _drift_lines(config: ExperimentConfig) -> tuple:
 
 
 def _stability_lines(config: ExperimentConfig) -> tuple:
-    scan = stability_scan(_STABILITY_GRID, _STABILITY_STEPS)
+    scan = stability_scan()
     trans = scan.transition
     trans_text = "none" if trans is None else f"{trans[0]:.2f},{trans[1]:.2f}"
     lines = [f"# transition: {trans_text}", "h_omega,bounded"]
-    for g, ok in zip(scan.grid, scan.bounded):
+    for g, ok in zip(STABILITY_GRID, scan.bounded):
         lines.append(f"{g:.2f},{int(ok)}")
     return lines, f"transition {trans_text}"
 

@@ -41,7 +41,8 @@ class HarmonicExact:
 
 def harmonic_exact(t: float, params: HarmonicExact) -> PhasePoint:
     a, w, m = params.amplitude, params.omega, params.m
-    return PhasePoint(-a * m * w * math.sin(w * t), a * math.cos(w * t))
+    # the mass goes last: a * m can pass the float range while p does not
+    return PhasePoint(-(a * w * math.sin(w * t)) * m, a * math.cos(w * t))
 
 
 def _descend(k: float, kp: float) -> tuple:
@@ -125,5 +126,5 @@ def pendulum_exact(t: float, params: PendulumExact) -> PhasePoint:
     cn = math.cos(phi)
     dn = math.hypot(kp, k * cn)
     q = 2.0 * math.atan2(k * cn, kp)
-    p = -2.0 * params.m * k * kp * params.omega * sn / dn
+    p = -2.0 * k * kp * params.omega * sn / dn * params.m
     return PhasePoint(p, q)

@@ -272,7 +272,7 @@ def pendulum_landen(t: float, q0: float, omega: float, m: float) -> PhasePoint:
     u = math.fmod(omega * t, 4.0 * complete_elliptic_K(k, kp))
     sn, cn, dn = _sncndn(u, k, kp)
     q = 2.0 * math.atan2(k * cn, kp)
-    p = -2.0 * m * k * kp * omega * sn / dn
+    p = -2.0 * k * kp * omega * sn / dn * m
     return PhasePoint(p, q)
 
 

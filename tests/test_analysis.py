@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lobvi import analysis
 from lobvi.analysis import (
     FLOOR_ULPS,
+    STABILITY_GRID,
     StabilityScan,
     TrajectoryRecord,
     convergence_table,
@@ -265,28 +267,30 @@ class TestEnergyDriftSeries:
 
 
 class TestStabilityScan:
-    def test_comfortably_stable_grid(self):
-        scan = stability_scan([0.5, 1.0, 2.0], steps=500)
-        assert scan.bounded == (True, True, True)
-        assert scan.transition is None
+    def test_verdicts_follow_the_limit_across_the_grid(self):
+        # the 32 points from 2.80 to 3.11 are bounded, the 5 from 3.12 on are not
+        scan = stability_scan()
+        assert len(STABILITY_GRID) == 37
+        assert scan.bounded == tuple(g < stability_limit() for g in STABILITY_GRID)
+        assert scan.bounded.count(True) == 32
+        assert scan.transition == (3.11, 3.12)
 
     def test_brackets_the_instability_onset(self):
-        grid = [3.05 + 0.01 * j for j in range(11)]
-        scan = stability_scan(grid, steps=2000)
+        scan = stability_scan()
         assert scan.transition is not None
         lo, hi = scan.transition
-        assert lo == pytest.approx(3.11, abs=1e-12)
-        assert hi == pytest.approx(3.12, abs=1e-12)
+        assert lo < stability_limit() < hi
+        assert hi - lo == pytest.approx(0.01, abs=1e-12)
 
-    def test_rejects_grid_outside_domain(self):
-        with pytest.raises(ValueError):
-            stability_scan([3.2], steps=10)
-        with pytest.raises(ValueError):
-            stability_scan([0.0], steps=10)
-
-    def test_rejects_zero_steps(self):
-        with pytest.raises(ValueError):
-            stability_scan([1.0], steps=0)
+    @pytest.mark.parametrize("growth, transition", [(1.0, None), (2.0, (0.0, 2.80))])
+    def test_transition_of_a_regressed_map(self, monkeypatch, growth, transition):
+        # a map bounded everywhere has no transition; one unbounded at the
+        # first grid point brackets it from 0
+        monkeypatch.setattr(analysis, "step_harmonic",
+                            lambda pt, phi: PhasePoint(growth * pt.p, growth * pt.q))
+        scan = stability_scan()
+        assert scan.bounded == (growth == 1.0,) * len(STABILITY_GRID)
+        assert scan.transition == transition
 
     def test_unstable_point_grows_without_bound(self):
         """Direct substance check just past the onset: iterate the closed
@@ -303,7 +307,7 @@ class TestStabilityScan:
 
     def test_re_entrant_window_is_past_the_limit(self):
         # between the onset and sqrt(10) the closed form turns neutrally
-        # stable again, |Phi11| < 1; the scan refuses that region, and the
+        # stable again, |Phi11| < 1; the scan's grid ends at 3.16, and the
         # one verdict, h*omega against stability_limit(), rejects it
         params = HarmonicParams(m=1.0, omega=W, h=3.2 / W)
         (a, _), _ = transfer_matrix(params)
@@ -311,8 +315,9 @@ class TestStabilityScan:
         assert not abs(params.h) * params.omega < stability_limit()
 
     def test_dataclass_roundtrip(self):
-        scan = StabilityScan(grid=(1.0,), bounded=(True,), transition=None)
-        assert scan.grid == (1.0,)
+        scan = StabilityScan(bounded=(True,), transition=None)
+        assert scan.bounded == (True,)
+        assert scan.transition is None
 
 
 class TestMapJacobianDeterminant:

@@ -11,7 +11,13 @@ import pytest
 
 import lobvi
 import lobvi.cli
-from lobvi.analysis import TrajectoryRecord, estimate_order, linf_error, orbit_scale
+from lobvi.analysis import (
+    STABILITY_GRID,
+    TrajectoryRecord,
+    estimate_order,
+    linf_error,
+    orbit_scale,
+)
 from lobvi.cli import ConfigError, ExperimentConfig, main, parse_config, run
 from lobvi.harmonic import stability_limit
 from lobvi.mechanics import PhasePoint
@@ -179,12 +185,18 @@ class TestParseConfig:
             ("meshes", "1 0", "invalid mesh list '1 0'"),
             ("meshes", "10,,20", "invalid mesh list '10,,20'"),
             ("meshes", "10,", "invalid mesh list '10,'"),
+            ("meshes", "1_0", "invalid mesh list '1_0'"),
+            ("meshes", "\u0661\u0660", "invalid mesh list '\u0661\u0660'"),
+            ("periods", "1_0", "invalid integer '1_0'"),
+            ("periods", "\u0661", "invalid integer '\u0661'"),
+            ("mass", "1_0", "invalid number '1_0'"),
+            ("mass", "\uff12", "invalid number '\uff12'"),
             ("system", "kepler", "expected one of harmonic, pendulum, got 'kepler'"),
         ],
     )
     def test_flag_and_file_share_one_converter(self, tmp_path, key, value, want):
         path = tmp_path / "exp.cfg"
-        path.write_text(f"# bad value on line 2\n{key} = {value}\n")
+        path.write_text(f"# bad value on line 2\n{key} = {value}\n", encoding="utf-8")
         by_flag = call_main(["trajectory", f"--{key}", value])
         by_file = call_main(["trajectory", "--config", str(path)])
         assert by_flag == (2, f"config error: --{key}: {want}\n")
@@ -288,6 +300,24 @@ class TestTrajectoryOutput:
         header, rows = read_rows(out)
         assert header == ["t", "q", "p", "q_exact", "p_exact", "H"]
         assert len(rows) == 9
+
+    # a * m or 2 * m passes the float range while the momentum scale stays
+    # inside it: the exact references multiply by the mass last
+    @pytest.mark.parametrize(
+        "args",
+        [["--system", "pendulum", "--mass", "1e308", "--omega", "1e-3"],
+         ["--mass", "1e308", "--omega", "0.5", "--amplitude", "2"]],
+        ids=["pendulum", "harmonic"],
+    )
+    def test_huge_mass_keeps_the_momentum_finite(self, args):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code, err = call_main(["trajectory", *args, "--out", "-"])
+        assert code == 0, err
+        header, *rows = [line.split(",") for line in buf.getvalue().splitlines()]
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+        first = dict(zip(header, rows[0]))
+        assert first["p"] == first["p_exact"] == FMT(-0.0)
 
     def test_stdout_sink(self):
         buf = io.StringIO()
@@ -617,6 +647,18 @@ class TestStabilityOutput:
         assert data["3.12"] == "0"
         assert data["3.16"] == "0"
         assert "3.11" in err
+
+
+    def test_map_bounded_everywhere_prints_none(self, monkeypatch):
+        monkeypatch.setattr(lobvi.analysis, "step_harmonic", lambda pt, phi: pt)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code, err = call_main(["stability", "--out", "-"])
+        assert code == 0
+        lines = buf.getvalue().splitlines()
+        assert lines[0] == "# transition: none"
+        assert lines[2:] == [f"{g:.2f},1" for g in STABILITY_GRID]
+        assert err == "stability: transition none -> stdout\n"
 
 
 class TestExitCodes:
