@@ -79,12 +79,23 @@ def estimate_order(err_coarse: float, err_fine: float, scale: float = 0.0) -> Op
     return round(math.log2(err_coarse / err_fine))
 
 
+def mesh_pairs(meshes: Sequence[int]) -> tuple:
+    """(coarse, fine) pairs of successive mesh counts, at least one, each fine = 2 coarse."""
+    pairs = tuple(zip(meshes, meshes[1:]))
+    if not pairs:
+        raise ValueError("need at least two meshes")
+    for a, b in pairs:
+        if b != 2 * a:
+            raise ValueError(f"mesh counts must double: {a} then {b}")
+    return pairs
+
+
 def convergence_table(meshes: Sequence[int], errors: dict, scales: dict) -> dict:
     """Integer orders between successive meshes, one tuple per observable.
 
     `errors` maps each observable to one error per mesh, and `scales` maps
     each observable that gets orders to its orbit_scale, in the order they
-    are estimated.  Mesh counts must double row to row.  Each tuple holds one
+    are estimated.  `meshes` must pass mesh_pairs.  Each tuple holds one
     order per doubling, None where an error is at the roundoff floor.
 
     A degenerate error raises estimate_order's ValueError with `observable`
@@ -92,12 +103,7 @@ def convergence_table(meshes: Sequence[int], errors: dict, scales: dict) -> dict
     `scales`: at a tiny amplitude its error is exactly 0, which names the
     cause more plainly than the subnormal p or q errors beside it.
     """
-    pairs = tuple(zip(meshes, meshes[1:]))
-    if not pairs:
-        raise ValueError("need at least two meshes")
-    for a, b in pairs:
-        if b != 2 * a:
-            raise ValueError(f"mesh counts must double: {a} then {b}")
+    pairs = mesh_pairs(meshes)
     for observable in scales:
         if len(errors[observable]) != len(meshes):
             raise ValueError(f"{observable} needs one error per mesh")

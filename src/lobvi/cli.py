@@ -14,9 +14,9 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .analysis import (
     STABILITY_GRID,
@@ -24,6 +24,7 @@ from .analysis import (
     convergence_table,
     energy_drift_series,
     linf_error,
+    mesh_pairs,
     orbit_scale,
     stability_scan,
 )
@@ -33,10 +34,9 @@ from .mechanics import StepParams, _require, energy, harmonic_potential, pendulu
 from .midpoint import run_midpoint
 from .pendulum import NewtonError, run_pendulum
 
-_COMMANDS = ("trajectory", "convergence", "drift", "stability")
 _SYSTEMS = ("harmonic", "pendulum")
 _SCHEMES = ("lobatto", "midpoint")
-# options that set each field of the exact-reference and step records, and the last node time t
+# options that set m and each field of the exact-reference and step records, and node time t
 _OPTION_OF_FIELD = {"m": "mass", "omega": "omega", "amplitude": "amplitude", "q0": "amplitude",
                     "h": "omega, meshes", "t": "omega, periods"}
 
@@ -50,14 +50,15 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     command: str
-    system: str
-    scheme: str
-    m: float
-    omega: float
-    amplitude: float
-    meshes: tuple
-    periods: int
-    out: str
+    system: str = "harmonic"
+    scheme: str = "lobatto"
+    m: float = 1.0
+    omega: float = 2.0 * math.pi
+    amplitude: float = math.pi / 2.0
+    # None: the command's default, from its _COMMANDS row (out: <command>_<system>_<scheme>.csv)
+    meshes: tuple | None = None
+    periods: int | None = None
+    out: str | None = None
     # exact-solution record of (system, amplitude, omega, m); validates them
     reference: HarmonicExact | PendulumExact | None = field(
         init=False, default=None, repr=False, compare=False)
@@ -67,35 +68,37 @@ class ExperimentConfig:
     advisories: tuple = field(init=False, default=(), repr=False, compare=False)
 
     def __post_init__(self):
-        if self.command not in _COMMANDS:
+        row = _COMMANDS.get(self.command)
+        if row is None:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.system not in _SYSTEMS:
             raise ConfigError(f"unknown system {self.system!r}")
         if self.scheme not in _SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
+        if self.out is None:
+            object.__setattr__(self, "out", f"{self.command}_{self.system}_{self.scheme}.csv")
         if not self.out:
             raise ConfigError("cannot write output: empty path")
-        if self.command == "stability":
-            # the scan steps a fixed grid of h*omega at m = omega = 1: it reads only out
+        if not row.meshes:
+            # a command that reads no mesh reads no run value either
             return
-        object.__setattr__(self, "meshes", tuple(int(n) for n in self.meshes))
-        if not self.meshes:
-            raise ConfigError("need at least one mesh count")
-        if self.command in ("trajectory", "drift") and len(self.meshes) > 1:
+        meshes = row.meshes[self.system] if self.meshes is None else tuple(self.meshes)
+        object.__setattr__(self, "meshes", meshes)
+        if self.periods is None:
+            object.__setattr__(self, "periods", row.periods)
+        for n in (*self.meshes, self.periods):
+            if not isinstance(n, int):
+                raise ConfigError(f"mesh and period counts must be integers, got {n!r}")
+        if not row.doubling and len(self.meshes) != 1:
             raise ConfigError(f"{self.command} takes one mesh count, got {len(self.meshes)}")
         for n in self.meshes:
             if n < 2:
                 raise ConfigError(f"meshes must be at least 2, got {n}")
-        if self.command == "convergence":
-            if len(self.meshes) < 2:
-                raise ConfigError(
-                    f"convergence takes at least two mesh counts, got {self.meshes[0]}"
-                )
-            for a, b in zip(self.meshes, self.meshes[1:]):
-                if b != 2 * a:
-                    raise ConfigError(
-                        f"convergence meshes must double: {a} then {b}"
-                    )
+        if row.doubling:
+            try:
+                mesh_pairs(self.meshes)
+            except ValueError as exc:
+                raise ConfigError(f"meshes: {exc}") from None
         if self.periods < 1:
             raise ConfigError(f"periods must be at least 1, got {self.periods}")
         try:
@@ -112,7 +115,7 @@ class ExperimentConfig:
                 reference = PendulumExact(q0=self.amplitude, omega=self.omega, m=self.m)
                 span, potential = reference.period, pendulum_potential(self.m, self.omega)
             steps = {n: StepParams(m=self.m, h=span / n, potential=potential) for n in self.meshes}
-            if self.command != "drift":
+            if row.build is not _drift_lines:
                 # _simulate's last node time; the drift reads no times
                 for n, step in steps.items():
                     _require("t", nodes[n] * step.h)
@@ -177,9 +180,6 @@ _OPTIONS = {
     "amplitude": (_number, "initial extension or release angle"),
     "out": (str, "output CSV path, or - for stdout"),
 }
-# the options each subcommand reads; stability scans a fixed grid of h*omega
-_KEYS = {name: tuple(_OPTIONS) for name in _COMMANDS}
-_KEYS["stability"] = ("out",)
 
 
 class _SubcommandParser(argparse.ArgumentParser):
@@ -203,15 +203,9 @@ def _build_parser() -> tuple:
         description="Variational Lobatto integrator experiments (CSV output).",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
-    helps = {
-        "trajectory": "node-sampled run of one scheme against the exact solution",
-        "convergence": "infinity errors and orders over a doubling mesh family",
-        "drift": "running energy-error maxima over many periods",
-        "stability": "boundedness scan of the harmonic closed-form update",
-    }
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=helps[name])
-        for key in _KEYS[name]:
+    for name, row in _COMMANDS.items():
+        p = sub.add_parser(name, help=row.help)
+        for key in row.keys:
             p.add_argument(f"--{key}", help=_OPTIONS[key][1])
         p.add_argument("--config", help="key=value file; flags take precedence")
     return parser, sub.choices
@@ -233,7 +227,7 @@ def _read_config_file(path: str, command: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _KEYS[command]:
+        if key not in _COMMANDS[command].keys:
             why = "unknown key" if key not in _OPTIONS else f"{command} takes no key"
             raise ConfigError(f"{path}:{lineno}: {why} {key!r}")
         if key in first_line:
@@ -244,15 +238,6 @@ def _read_config_file(path: str, command: str) -> dict:
     return values
 
 
-def _default_meshes(command: str, system: str) -> tuple:
-    if command == "convergence":
-        return (10, 20, 40) if system == "harmonic" else (50, 100, 200)
-    if command == "drift":
-        # step near 0.1 (harmonic period 1) and near 0.025 (pendulum period 1.18)
-        return (10,) if system == "harmonic" else (47,)
-    return (10,)
-
-
 def parse_config(argv: Sequence[str]) -> ExperimentConfig:
     """Build a validated config from argv, merging in any --config file."""
     parser, subparsers = _build_parser()
@@ -260,38 +245,28 @@ def parse_config(argv: Sequence[str]) -> ExperimentConfig:
     for given_to, args in ((parser, stray), (subparsers[ns.command], ns.stray)):
         if args:
             given_to.error(f"unrecognized arguments: {' '.join(args)}")
-    raw = _read_config_file(ns.config, ns.command) if ns.config else {}
-    for key in _KEYS[ns.command]:
+    row = _COMMANDS[ns.command]
+    raw = _read_config_file(ns.config, ns.command) if ns.config is not None else {}
+    for key in row.keys:
         if getattr(ns, key) is not None:
             raw[key] = (getattr(ns, key), f"--{key}")
+    # each option sets the config field of its name, or the one _OPTION_OF_FIELD gives
+    field_of = {_OPTION_OF_FIELD.get(f.name, f.name): f.name for f in fields(ExperimentConfig)}
     values = {}
     for key, (text, where) in raw.items():
         try:
-            values[key] = _OPTIONS[key][0](text)
+            values[field_of[key]] = _OPTIONS[key][0](text)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from None
-
-    system = values.get("system", "harmonic")
-    scheme = values.get("scheme", "lobatto")
-    meshes = values.get("meshes", _default_meshes(ns.command, system))
-    if ns.command == "convergence" and len(meshes) == 1:
-        meshes = (meshes[0], 2 * meshes[0], 4 * meshes[0])
-    return ExperimentConfig(
-        command=ns.command,
-        system=system,
-        scheme=scheme,
-        m=values.get("mass", 1.0),
-        omega=values.get("omega", 2.0 * math.pi),
-        amplitude=values.get("amplitude", math.pi / 2.0),
-        meshes=meshes,
-        periods=values.get("periods", 1000 if ns.command == "drift" else 1),
-        out=values.get("out", f"{ns.command}_{system}_{scheme}.csv"),
-    )
+    if row.doubling and len(values.get("meshes", ())) == 1:
+        n = values["meshes"][0]
+        values["meshes"] = (n, 2 * n, 4 * n)
+    return ExperimentConfig(ns.command, **values)
 
 
 def _stepper(config: ExperimentConfig, mesh: int) -> tuple:
-    """The stepper of the config's system and scheme, and its arguments for
-    `config.periods` periods of `mesh` steps each from the exact start."""
+    """The stepper of the config's system and scheme, the exact solution of its system, and
+    the stepper's arguments for `config.periods` periods of `mesh` steps from the exact start."""
     step = config.steps[mesh]
     if config.scheme == "midpoint":
         stepper, params = run_midpoint, step
@@ -300,14 +275,13 @@ def _stepper(config: ExperimentConfig, mesh: int) -> tuple:
     else:
         stepper, params = run_harmonic, HarmonicParams(m=step.m, omega=config.omega, h=step.h)
     exact = harmonic_exact if config.system == "harmonic" else pendulum_exact
-    return stepper, (exact(0.0, config.reference), params, mesh * config.periods)
+    return stepper, exact, (exact(0.0, config.reference), params, mesh * config.periods)
 
 
 def _simulate(config: ExperimentConfig, mesh: int) -> TrajectoryRecord:
     """Run `config.periods` periods of `mesh` steps each and record every node."""
     ref, step = config.reference, config.steps[mesh]
-    exact = harmonic_exact if config.system == "harmonic" else pendulum_exact
-    stepper, args = _stepper(config, mesh)
+    stepper, exact, args = _stepper(config, mesh)
     run = stepper(*args)
     times = tuple(j * step.h for j in range(len(run.points)))
     return TrajectoryRecord(
@@ -358,7 +332,7 @@ def _convergence_lines(config: ExperimentConfig) -> tuple:
 
 def _drift_lines(config: ExperimentConfig) -> tuple:
     step = config.steps[config.meshes[0]]
-    stepper, args = _stepper(config, config.meshes[0])
+    stepper, _, args = _stepper(config, config.meshes[0])
     if stepper is run_harmonic:
         # the oscillator's Lobatto scheme conserves H_d: fold it without the points
         observable, energies = "H_d", discrete_energy_series(*args)
@@ -382,6 +356,30 @@ def _stability_lines(config: ExperimentConfig) -> tuple:
     return lines, f"transition {trans_text}"
 
 
+class _Command(NamedTuple):
+    help: str
+    build: Callable  # the CSV lines and the summary of a config
+    meshes: dict = {}  # the default meshes by system; {} for a command that reads no mesh
+    doubling: bool = False  # reads a doubling mesh family, not one mesh
+    periods: int = 1  # the default periods
+    keys: tuple = tuple(_OPTIONS)  # the options it reads
+
+
+_COMMANDS = {
+    "trajectory": _Command("node-sampled run of one scheme against the exact solution",
+                           _trajectory_lines, {"harmonic": (10,), "pendulum": (10,)}),
+    "convergence": _Command("infinity errors and orders over a doubling mesh family",
+                            _convergence_lines, {"harmonic": (10, 20, 40),
+                                                 "pendulum": (50, 100, 200)}, doubling=True),
+    # steps near 0.1 (harmonic period 1) and near 0.025 (pendulum period 1.18)
+    "drift": _Command("running energy-error maxima over many periods", _drift_lines,
+                      {"harmonic": (10,), "pendulum": (47,)}, periods=1000),
+    # the scan steps a fixed grid of h*omega at m = omega = 1: it reads only out
+    "stability": _Command("boundedness scan of the harmonic closed-form update",
+                          _stability_lines, keys=("out",)),
+}
+
+
 def _write_lines(out: str, lines) -> None:
     text = "\n".join(lines) + "\n"
     if out == "-":
@@ -403,15 +401,9 @@ def run(config: ExperimentConfig) -> int:
             raise ConfigError(f"cannot write output: no such directory: {folder!r}")
         if os.path.isdir(config.out):
             raise ConfigError(f"cannot write output: is a directory: {config.out!r}")
-    builder = {
-        "trajectory": _trajectory_lines,
-        "convergence": _convergence_lines,
-        "drift": _drift_lines,
-        "stability": _stability_lines,
-    }[config.command]
     for line in config.advisories:
         print(line, file=sys.stderr)
-    lines, summary = builder(config)
+    lines, summary = _COMMANDS[config.command].build(config)
     try:
         _write_lines(config.out, lines)
     except OSError as exc:

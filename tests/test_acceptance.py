@@ -2,9 +2,13 @@
 
 One test per headline capability, each printing a single PASS/FAIL line with
 the measured figure and its runtime budget.  Tolerances are asserted exactly
-as stated; published table values are matched within 2 percent.
+as stated.  Published table values are matched as closely as they hold in
+floating point: Table 1 within 2e-5 relative, Table 2 within 2e-4 at N = 50
+and 100, and within 2 percent at N = 200 (see test_pendulum_order_table).
 """
 
+import contextlib
+import io
 import math
 from fractions import Fraction
 from time import perf_counter
@@ -47,6 +51,8 @@ from oracle import oracle_integrate
 
 W = 2.0 * math.pi
 
+# relative bound on each Table 1 entry; the worst measured is 5.4e-6 (q at N = 40)
+TABLE1_REL = 2e-5
 TABLE1 = {
     "p": (8.95248e-6, 1.39279e-7, 2.17034e-9),
     "q": (7.64034e-7, 1.19368e-8, 1.87641e-10),
@@ -161,8 +167,8 @@ def test_table_one_reproduction():
     elapsed = perf_counter() - t0
     report(
         "oscillator error table",
-        worst_rel <= 0.02 and all(o == 6 for o in orders) and hd_drift <= 5e-15,
-        f"nine values within {worst_rel * 100:.2f}% of print, orders {sorted(set(orders))}, "
+        worst_rel <= TABLE1_REL and all(o == 6 for o in orders) and hd_drift <= 5e-15,
+        f"nine values within {worst_rel:.1e} of print, orders {sorted(set(orders))}, "
         f"discrete-energy drift {hd_drift:.1e}",
         elapsed,
         1.0,
@@ -279,14 +285,19 @@ def test_pendulum_order_table():
         for i in range(2)
     ]
     rels = [
-        abs(errs[obs][i] / TABLE2[obs][i] - 1.0) for obs in ("p", "q", "H") for i in range(3)
+        [abs(errs[obs][i] / TABLE2[obs][i] - 1.0) for obs in ("p", "q", "H")] for i in range(3)
     ]
+    coarse = max(rels[0] + rels[1])
+    # N = 200 sits at float roundoff: the scheme in 40-digit arithmetic, with
+    # the same float h and an mpmath.ellipfun reference, is off print there by
+    # p +0.60%, q -1.13% and H +0.73% (within 0.007% at N = 50 and 100), so a
+    # last-bit change to the solver can move these cells by about 1%
     elapsed = perf_counter() - t0
     report(
         "pendulum order table",
-        all(o == 6 for o in orders) and max(rels) <= 0.02,
-        f"orders {sorted(set(orders))} across N=50/100/200, "
-        f"worst {max(rels) * 100:.2f}% off print",
+        all(o == 6 for o in orders) and coarse <= 2e-4 and max(rels[2]) <= 0.02,
+        f"orders {sorted(set(orders))} across N=50/100/200, N=50/100 within {coarse:.1e} "
+        f"of print, N=200 worst {max(rels[2]) * 100:.2f}% off",
         elapsed,
         5.0,
     )
@@ -405,6 +416,32 @@ def test_long_horizon_drift():
     )
 
 
+def test_energy_band_order():
+    # backward error analysis gives the pendulum an O(h^6) energy band that
+    # does not grow: the drift's running maxima over 50 periods read 3.7530e-8,
+    # 5.7781e-10 and 9.4929e-12, and each is flat from period 10 on
+    t0 = perf_counter()
+    maxima, flat = [], True
+    for n in (47, 94, 188):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["drift", "--system", "pendulum", "--periods", "50",
+                         "--meshes", str(n), "--out", "-"]) == 0
+        series = [float(line.split(",")[1]) for line in buf.getvalue().splitlines()[3:]]
+        maxima.append(series[-1])
+        flat = flat and len(series) == 50 and series[-1] <= 1.000001 * series[9]
+    orders = [estimate_order(a, b) for a, b in zip(maxima, maxima[1:])]
+    elapsed = perf_counter() - t0
+    report(
+        "pendulum energy band order",
+        orders == [6, 6] and flat,
+        f"50-period H maxima {', '.join(f'{v:.4e}' for v in maxima)} at N=47/94/188, "
+        f"orders {orders}, flat from period 10: {flat}",
+        elapsed,
+        5.0,
+    )
+
+
 def test_baseline_separation():
     t0 = perf_counter()
     ref = HarmonicExact(amplitude=math.pi / 2.0, omega=W, m=1.0)
@@ -454,9 +491,6 @@ def test_elliptic_oracle_agreement():
 
 
 def test_cli_determinism(tmp_path):
-    import contextlib
-    import io
-
     t0 = perf_counter()
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     buf = io.StringIO()
@@ -476,8 +510,8 @@ def test_cli_determinism(tmp_path):
     elapsed = perf_counter() - t0
     report(
         "experiment runner determinism",
-        identical and worst_rel <= 0.02 and orders_ok,
-        f"byte-identical reruns, regenerated table within {worst_rel * 100:.2f}% of print",
+        identical and worst_rel <= TABLE1_REL and orders_ok,
+        f"byte-identical reruns, regenerated table within {worst_rel:.1e} of print",
         elapsed,
         5.0,
     )

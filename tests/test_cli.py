@@ -249,11 +249,25 @@ class TestExperimentConfig:
             dict(command="convergence", meshes=(47,)),
             dict(omega=1e-320),
             dict(system="pendulum", omega=1e-320),
+            dict(periods=2.5),
+            dict(meshes=(10.7,)),
+            dict(command="convergence", meshes=(10, 20.0)),
         ],
     )
     def test_rejects_bad_values(self, over):
         with pytest.raises(ConfigError):
             self.good(**over)
+
+    @pytest.mark.parametrize(
+        "command, system",
+        [("trajectory", "harmonic"), ("trajectory", "pendulum"), ("convergence", "harmonic"),
+         ("convergence", "pendulum"), ("drift", "harmonic"), ("drift", "pendulum"),
+         ("stability", None)],
+    )
+    def test_library_defaults_are_the_command_line_defaults(self, command, system):
+        given = {} if system is None else {"system": system}
+        flags = [] if system is None else ["--system", system]
+        assert ExperimentConfig(command, **given) == parse_config([command, *flags])
 
     def test_pendulum_allows_wide_release(self):
         cfg = self.good(system="pendulum", amplitude=3.1)
@@ -679,6 +693,14 @@ class TestExitCodes:
         code, err = call_main(["trajectory", "--config", "/nonexistent/x.cfg"])
         assert code == 2
 
+    def test_empty_config_path_is_config_error(self):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code, err = call_main(["trajectory", "--config", "", "--out", "-"])
+        assert code == 2
+        assert err.startswith("config error: cannot read config file: ")
+        assert buf.getvalue() == ""
+
     def test_config_file_not_in_utf8_is_config_error(self, tmp_path):
         path = tmp_path / "latin1.cfg"
         path.write_bytes("# r\u00e9glage\nperiods = 2\n".encode("latin-1"))
@@ -903,6 +925,14 @@ class TestExitCodes:
             code, err = call_main([command, "--meshes", "10,20", "--out", "-"])
         assert code == 2
         assert err == f"config error: {command} takes one mesh count, got 2\n"
+        assert buf.getvalue() == ""
+
+    def test_meshes_that_do_not_double_are_rejected(self):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code, err = call_main(["convergence", "--meshes", "10,21", "--out", "-"])
+        assert code == 2
+        assert err == "config error: meshes: mesh counts must double: 10 then 21\n"
         assert buf.getvalue() == ""
 
     # at --amplitude 1e301 the points stay finite, but H and its exact value
