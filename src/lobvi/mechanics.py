@@ -91,12 +91,12 @@ def harmonic_potential(m: float, omega: float) -> PotentialModel:
 def pendulum_potential(m: float, omega: float) -> PotentialModel:
     """V(q) = m omega^2 (1 - cos q), so V(0) = 0 and V'(0) = 0.
 
-    V is evaluated as 2 m omega^2 sin^2(q/2): 1 - cos q rounds to 0 below |q| ~ 1e-8.
+    V is evaluated as k (2 sin^2(q/2)): 1 - cos q rounds to 0 below |q| ~ 1e-8; 2k can overflow.
     """
     k = m * omega * omega
     return PotentialModel(
         tag="pendulum",
-        V=lambda q: 2.0 * k * math.sin(0.5 * q) ** 2,
+        V=lambda q: k * (2.0 * math.sin(0.5 * q) ** 2),
         dV=lambda q: k * math.sin(q),
         d2V=lambda q: k * math.cos(q),
     )

@@ -19,12 +19,8 @@ from .harmonic import kinetic_form
 from .mechanics import ElementState, PhasePoint, Run, StepParams
 from .quadrature import SQRT5, XI
 
-# One stopping rule for both implicit schemes: stop once the residual, a
-# position, is at most TOL times the largest position of the step (1e-14 puts
-# every Table 2 entry within 2% of print) or at most 5e-324, the least
-# subnormal, where that product underflows; fail after MAX_ITER iterations, and
-# call a Newton increment larger than MAX_STEP divergence (quadratic
-# convergence never gets near it).
+# The Newton policy of both implicit schemes (see `converged`); an increment
+# above MAX_STEP is divergence (quadratic convergence never gets near it).
 TOL = 1e-14
 MAX_ITER = 20
 MAX_STEP = 1e6
@@ -54,10 +50,37 @@ class NewtonError(RuntimeError):
         )
 
 
+def newton_error(reason: str, used: int, size=math.nan, scale=1.0) -> NewtonError:
+    """The failure after `used` iterations, with scaled residual size / scale (inf for scale 0)."""
+    return NewtonError(reason, residual=size / scale if scale else math.inf, iterations=used)
+
+
+def converged(size: float, scale: float, used: int) -> bool:
+    """Stop once the residual `size`, a position, is at most TOL (1e-14 puts every Table 2
+    entry within 2% of print) times `scale`, the step's largest position, or at most the least
+    subnormal where that underflows.  Raises NewtonError for a non-finite size, and at MAX_ITER."""
+    if not math.isfinite(size):
+        raise newton_error("non-finite residual", used, size)  # unscaled: inf or nan as it is
+    if size <= max(TOL * scale, 5e-324):
+        return True
+    if used == MAX_ITER:
+        raise newton_error("no convergence", used, size, scale)
+    return False
+
+
+def free_drift(p: float, q: float, params: StepParams) -> float:
+    """The free drift q + h p / m that starts both schemes' Newton; raises if it is not finite."""
+    drift = q + params.h * p / params.m
+    if not math.isfinite(drift):
+        raise newton_error("non-finite residual", 0, math.inf)
+    return drift
+
+
 def fold(step: Callable[[PhasePoint], tuple], point: PhasePoint, n_steps: int) -> Run:
     """Apply a one-step map n_steps times; returns Run(points, iterations, None).
 
-    step returns (point, iterations); a NewtonError it raises gets `step` and `n_steps` set.
+    step returns (point, iterations); a non-finite momentum is a non-finite residual (NaN)
+    (the residuals catch a position).  A NewtonError gets `step` and `n_steps` set.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
@@ -66,6 +89,8 @@ def fold(step: Callable[[PhasePoint], tuple], point: PhasePoint, n_steps: int) -
     for j in range(n_steps):
         try:
             point, used = step(point)
+            if not math.isfinite(point.p):
+                raise newton_error("non-finite residual", used)
         except NewtonError as exc:
             exc.step, exc.n_steps = j + 1, n_steps
             raise
@@ -139,42 +164,30 @@ def jacobian_dFL(stages: tuple, params: StepParams) -> tuple:
 def newton_step_solve(p_j: float, q_j: float, params: StepParams) -> tuple:
     """Solve one step; returns ((q_xi, q_xic, p_next, q_next), iterations used).
 
-    Newton iterates on the interior nodes alone, from the linear interpolant
-    between q_j and the free-drift prediction (exact for V = 0, O(h^2)
-    otherwise), solving the 2x2 Jacobian by Cramer's rule.  r1 and r2 are
-    positions, so it stops at max(|r1|, |r2|) <= TOL max(|q_j|, |q_xi|,
-    |q_xic|, |q_next|) for any mass.  Below a scale of about 5e-310 that
-    bound underflows to 0, so it is floored at the least subnormal, 5e-324.
-    p_next follows once, after convergence.
+    Newton iterates on the interior nodes alone, from the linear interpolant between q_j and
+    the `free_drift` (exact for V = 0, O(h^2) otherwise), solving the 2x2 Jacobian by Cramer's
+    rule, until max(|r1|, |r2|) has `converged` against max(|q_j|, |q_xi|, |q_xic|, |q_next|).
+    p_next follows once and may be non-finite: `fold`, so `run_pendulum`, fails that step.
     """
-    m, h = params.m, params.h
+    h, drift = params.h, free_drift(p_j, q_j, params)
     dv_j = params.potential.dV(q_j)
-    drift = q_j + h * p_j / m
     a, b = (1.0 - XI) * q_j + XI * drift, XI * q_j + (1.0 - XI) * drift
 
     for used in range(MAX_ITER + 1):
         r1, r2, n, forces = step_residual((a, b), p_j, q_j, params, dv_j)
-        # max() drops a NaN that is not its first argument; the sum keeps it
-        if not math.isfinite(r1 + r2):
-            raise NewtonError("non-finite residual", residual=abs(r1) + abs(r2), iterations=used)
-        size, scale = max(abs(r1), abs(r2)), max(abs(q_j), abs(a), abs(b), abs(n))
-        if size <= max(TOL * scale, 5e-324):
-            p = p_j - h * (forces + params.potential.dV(n)) / 12.0
-            if not math.isfinite(p):
-                # V'(q_next) enters only here: the momentum update's residual is NaN
-                raise NewtonError("non-finite residual", residual=math.nan, iterations=used)
-            return (a, b, p, n), used
-        res = size / scale if scale else math.inf
-        if used == MAX_ITER:
-            raise NewtonError("no convergence", residual=res, iterations=used)
+        e1, e2 = abs(r1), abs(r2)
+        # (e1 + e2) / 2 keeps a NaN that max() drops; finite, it is at most max(e1, e2)
+        size, scale = max((e1 + e2) / 2.0, e1, e2), max(abs(q_j), abs(a), abs(b), abs(n))
+        if converged(size, scale, used):
+            return (a, b, p_j - h * (forces + params.potential.dV(n)) / 12.0, n), used
         (j11, j12), (j21, j22) = jacobian_dFL((a, b), params)
         det = j11 * j22 - j12 * j21
         if det == 0.0 or not math.isfinite(det):
-            raise NewtonError("singular Jacobian", residual=res, iterations=used)
+            raise newton_error("singular Jacobian", used, size, scale)
         da = (j12 * r2 - j22 * r1) / det
         db = (j21 * r1 - j11 * r2) / det
         if max(abs(da), abs(db)) > MAX_STEP:
-            raise NewtonError("diverged", residual=res, iterations=used)
+            raise newton_error("diverged", used, size, scale)
         a, b = a + da, b + db
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import math
 import os
 import re
@@ -315,13 +316,15 @@ class TestTrajectoryOutput:
         assert header == ["t", "q", "p", "q_exact", "p_exact", "H"]
         assert len(rows) == 9
 
-    # a * m or 2 * m passes the float range while the momentum scale stays
-    # inside it: the exact references multiply by the mass last
+    # a * m, 2 * m or 2 m omega^2 passes the float range while the momentum scale and
+    # H stay inside it: the exact references multiply by the mass last, and V by m omega^2
     @pytest.mark.parametrize(
         "args",
         [["--system", "pendulum", "--mass", "1e308", "--omega", "1e-3"],
-         ["--mass", "1e308", "--omega", "0.5", "--amplitude", "2"]],
-        ids=["pendulum", "harmonic"],
+         ["--mass", "1e308", "--omega", "0.5", "--amplitude", "2"],
+         ["--system", "pendulum", "--mass", "1e308", "--omega", "1", "--amplitude", "1e-320",
+          "--meshes", "2", "--periods", "2"]],
+        ids=["pendulum", "harmonic", "pendulum-potential"],
     )
     def test_huge_mass_keeps_the_momentum_finite(self, args):
         buf = io.StringIO()
@@ -824,16 +827,52 @@ class TestExitCodes:
             code, _ = call_main(["drift", "--omega", "4e-308", "--periods", "2", "--out", "-"])
         assert code == 0
 
-    # at omega = 1e-160, h^2 overflows and the first residual is NaN (Lobatto) or inf (midpoint)
-    @pytest.mark.parametrize("scheme, residual", [("lobatto", "nan"), ("midpoint", "inf")])
-    def test_non_finite_residual_is_a_solver_failure(self, tmp_path, scheme, residual):
+    # at omega = 1e-160, h^2 overflows and the first residual is NaN (Lobatto) or inf
+    # (midpoint); at mass 1e308 and omega 1e-150 the second step's drift h p / m overflows
+    # before any force is evaluated; at mass 1e308 and omega 1 the midpoint's first
+    # momentum overflows, which the fold sees in the emitted point
+    # (only the Lobatto start case, at 2 nodes per period, is past the stability limit)
+    @pytest.mark.parametrize(
+        "args, advisory, where, residual",
+        [pytest.param(["pendulum", "--omega", "1e-160"], "", "step 1 of 10", "nan",
+                      id="lobatto-nan"),
+         pytest.param(["pendulum", "--scheme", "midpoint", "--omega", "1e-160"], "",
+                      "step 1 of 10", "inf", id="midpoint-inf"),
+         pytest.param(["pendulum", "--mass", "1e308", "--omega", "1e-150", "--amplitude", "1.5",
+                       "--meshes", "2"],
+                      "warning: meshes: 2 nodes per period put h*omega = 3.6504 at or past the "
+                      "stability limit {limit:.4f} of the pendulum Lobatto scheme\n",
+                      "step 2 of 2", "inf", id="lobatto-start"),
+         pytest.param(["pendulum", "--scheme", "midpoint", "--mass", "1e308", "--omega", "1e-150",
+                       "--amplitude", "1.5", "--meshes", "2"], "", "step 2 of 2", "inf",
+                      id="midpoint-start"),
+         pytest.param(["pendulum", "--scheme", "midpoint", "--mass", "1e308", "--omega", "1",
+                       "--meshes", "2"], "", "step 1 of 2", "nan", id="midpoint-momentum"),
+         pytest.param(["harmonic", "--scheme", "midpoint", "--mass", "1e308", "--omega", "1",
+                       "--meshes", "2"], "", "step 1 of 2", "nan",
+                      id="harmonic-midpoint-momentum")],
+    )
+    def test_non_finite_residual_is_a_solver_failure(self, tmp_path, args, advisory, where,
+                                                     residual):
         out = tmp_path / "t.csv"
-        code, err = call_main(["trajectory", "--system", "pendulum", "--scheme", scheme,
-                               "--omega", "1e-160", "--out", str(out)])
+        code, err = call_main(["trajectory", "--system", *args, "--out", str(out)])
         assert code == 3
-        assert err == ("solver failure: step 1 of 10: non-finite residual after 0 iterations, "
+        assert err == (advisory.format(limit=stability_limit())
+                       + f"solver failure: {where}: non-finite residual after 0 iterations, "
                        f"scaled residual {residual}; no output written\n")
         assert not out.exists()
+
+    def test_extreme_values_exit_with_a_code(self):
+        # every run either writes its output or reports a config or solver error
+        for system, scheme, mass, omega, meshes in itertools.product(
+            ["harmonic", "pendulum"], ["lobatto", "midpoint"], ["1e-300", "1", "1e308"],
+            ["1e-150", "1", "1e150"], ["2", "10"],
+        ):
+            args = ["trajectory", "--system", system, "--scheme", scheme, "--mass", mass,
+                    "--omega", omega, "--meshes", meshes, "--out", "-"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                code, err = call_main(args)
+            assert code in (0, 2, 3), (args, err)
 
     @pytest.mark.parametrize("sink", ["stdout", "file"])
     def test_harmonic_lobatto_past_stability_limit_is_rejected(self, tmp_path, sink):

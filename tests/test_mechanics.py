@@ -58,6 +58,17 @@ class TestPendulumPotential:
         want = 0.5 * 4.0 * q * q
         assert abs(pot.V(q) - want) <= 4.0 * sys.float_info.epsilon * want
 
+    @given(q=qs, m=st.sampled_from([0.7, 1.0, 1e300]))
+    def test_stiffness_multiplies_last(self, q, m):
+        # doubling is exact, so V keeps the bits of 2k sin^2(q/2) wherever 2k is finite
+        assert pendulum_potential(m, 2.0).V(q) == 2.0 * (m * 4.0) * math.sin(0.5 * q) ** 2
+
+    def test_stiffness_past_half_the_float_range(self):
+        # 2k overflows at k = 1e308, while V stays inside the float range near q = 0
+        pot = pendulum_potential(1e308, 1.0)
+        assert pot.V(1e-320) == 0.0
+        assert pot.V(1e-10) == pytest.approx(5e287, rel=1e-12)
+
     @given(q=st.floats(-0.05, 0.05))
     def test_small_angle_matches_harmonic(self, q):
         pend = pendulum_potential(1.0, 2.0)

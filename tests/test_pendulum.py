@@ -256,8 +256,9 @@ class TestNewton:
         # the solver's start: interior nodes on the line to the free drift 1.0
         guess = ((1.0 - XI) * 0.5 + XI, XI * 0.5 + (1.0 - XI))
         assert step_residual(guess, 5.0, 0.5, params) == (0.0, 0.0, 1.0, 0.0)
-        with pytest.raises(NewtonError) as info:
-            newton_step_solve(5.0, 0.5, params)
+        # the fold checks each emitted point, so the NaN momentum fails its step
+        with pytest.raises(NewtonError, match=r"^step 1 of 1: ") as info:
+            run_pendulum(PhasePoint(5.0, 0.5), params, 1)
         assert (info.value.reason, info.value.iterations) == ("non-finite residual", 0)
         assert math.isnan(info.value.residual)
 
