@@ -243,11 +243,14 @@ def run_harmonic(point: PhasePoint, params: HarmonicParams, n_steps: int) -> Run
     with localcontext(_FOLD):
         a, b, c, p, q = _decimal_start(point, params, n_steps)
         points = [point]
-        energies = [float((c * p * p - b * q * q) / 2)]
+        # c p and b q serve twice: in H_d = (c p p - b q q) / 2 and in the next step
+        cp, bq = c * p, b * q
+        energies = [float((cp * p - bq * q) / 2)]
         for _ in range(n_steps):
-            p, q = a * p + b * q, c * p + a * q
+            p, q = a * p + bq, cp + a * q
             points.append(PhasePoint(float(p), float(q)))
-            energies.append(float((c * p * p - b * q * q) / 2))
+            cp, bq = c * p, b * q
+            energies.append(float((cp * p - bq * q) / 2))
     return Run(points, None, energies)
 
 
@@ -259,8 +262,10 @@ def discrete_energy_series(point: PhasePoint, params: HarmonicParams, n_steps: i
     """
     with localcontext(_FOLD):
         a, b, c, p, q = _decimal_start(point, params, n_steps)
-        energies = [float((c * p * p - b * q * q) / 2)]
+        cp, bq = c * p, b * q
+        energies = [float((cp * p - bq * q) / 2)]
         for _ in range(n_steps):
-            p, q = a * p + b * q, c * p + a * q
-            energies.append(float((c * p * p - b * q * q) / 2))
+            p, q = a * p + bq, cp + a * q
+            cp, bq = c * p, b * q
+            energies.append(float((cp * p - bq * q) / 2))
     return energies

@@ -4,7 +4,10 @@ the step, and the oscillator fold in double-double and in 50-digit arithmetic.
 call, so the tests can check the record's cached table against it.
 `drift_by_time` cuts a drift's periods by node time, an independent split
 that the node-index split of `energy_drift_series` must reproduce on
-uniform grids.
+uniform grids.  `scan_by_points` and `fold_by_products` are the stability
+scan and the oscillator fold written plainly, one `PhasePoint` step and
+every product spelled out, for the tests that pin the library's lean
+loops to them.
 
 A classical fourth-order one-step method that shares nothing with the
 variational schemes: no element structure, no implicit solve, no elliptic
@@ -22,12 +25,15 @@ solves them directly for the one-step matrix.
 
 import math
 import sys
+from decimal import Context, Decimal, localcontext
 
 import mpmath as mp
 import numpy as np
 
 from lobvi import compensated as dd
+from lobvi.analysis import STABILITY_GRID, STABILITY_STEPS
 from lobvi.exact import complete_elliptic_K
+from lobvi.harmonic import HarmonicParams, step_harmonic, transfer_matrix
 from lobvi.mechanics import PhasePoint, PotentialModel
 
 _S5 = math.sqrt(5.0)
@@ -298,3 +304,50 @@ def drift_by_time(times, energies, window: int) -> list:
             j += 1
         out.append(running)
     return out
+
+
+def scan_by_points(phi_of) -> tuple:
+    """The stability scan as PhasePoint steps with a running max(|p|, |q|).
+
+    phi_of(params) gives the map at each STABILITY_GRID value, as
+    transfer_matrix does.  max() drops a NaN that follows a number, so a
+    NaN component reads bounded.  Returns (verdicts, transition) as
+    `lobvi.analysis.stability_scan` holds them.
+    """
+    verdicts = []
+    for g in STABILITY_GRID:
+        phi = phi_of(HarmonicParams(m=1.0, omega=1.0, h=g))
+        pt = PhasePoint(0.0, 1.0)
+        worst = 1.0
+        for _ in range(STABILITY_STEPS):
+            pt = step_harmonic(pt, phi)
+            worst = max(worst, abs(pt.p), abs(pt.q))
+            if worst > 10.0:
+                break
+        verdicts.append(worst <= 10.0)
+    transition = None
+    for i, ok in enumerate(verdicts):
+        if not ok:
+            transition = (STABILITY_GRID[i - 1] if i > 0 else 0.0, STABILITY_GRID[i])
+            break
+    return tuple(verdicts), transition
+
+
+def fold_by_products(point: PhasePoint, params, n_steps: int) -> tuple:
+    """The oscillator fold in 34-digit decimal, every product written out.
+
+    Each step forms a p + b q and c p + a q, and each H_d (c p p - b q q) / 2,
+    on the map transfer_matrix gives for the exact decimal values of the
+    fields.  Returns (points, discrete energies), n_steps + 1 floats each.
+    """
+    with localcontext(Context(prec=34, traps=[])):
+        exact = HarmonicParams(Decimal(params.m), Decimal(params.omega), Decimal(params.h))
+        (a, b), (c, _) = transfer_matrix(exact)
+        p, q = Decimal(point.p), Decimal(point.q)
+        points = [point]
+        energies = [float((c * p * p - b * q * q) / 2)]
+        for _ in range(n_steps):
+            p, q = a * p + b * q, c * p + a * q
+            points.append(PhasePoint(float(p), float(q)))
+            energies.append(float((c * p * p - b * q * q) / 2))
+    return points, energies

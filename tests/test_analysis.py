@@ -30,7 +30,7 @@ from lobvi.harmonic import (
 )
 from lobvi.mechanics import PhasePoint, energy, harmonic_potential
 
-from oracle import drift_by_time
+from oracle import drift_by_time, scan_by_points
 
 W = 2.0 * math.pi
 
@@ -286,11 +286,31 @@ class TestStabilityScan:
     def test_transition_of_a_regressed_map(self, monkeypatch, growth, transition):
         # a map bounded everywhere has no transition; one unbounded at the
         # first grid point brackets it from 0
-        monkeypatch.setattr(analysis, "step_harmonic",
-                            lambda pt, phi: PhasePoint(growth * pt.p, growth * pt.q))
+        monkeypatch.setattr(analysis, "transfer_matrix",
+                            lambda params: ((growth, 0.0), (0.0, growth)))
         scan = stability_scan()
         assert scan.bounded == (growth == 1.0,) * len(STABILITY_GRID)
         assert scan.transition == transition
+
+    @pytest.mark.parametrize("phi_of", [
+        transfer_matrix,
+        lambda params: ((1.0, 0.0), (0.0, 1.0)),
+        lambda params: ((2.0, 0.0), (0.0, 2.0)),
+        # p turns NaN at the first step and q after it: bounded
+        lambda params: ((math.nan, 0.0), (0.0, 2.0)),
+        # a NaN p beside a q past 10, then a p past 10 beside a NaN q: unbounded
+        lambda params: ((math.nan, 0.0), (0.0, 20.0)),
+        lambda params: ((0.0, 20.0), (0.0, math.nan)),
+        # NaN below h omega = 3 and doubling from there: a transition mid-grid
+        lambda params: (((math.nan, 0.0), (0.0, 1.0)) if params.h < 3.0
+                        else ((2.0, 0.0), (0.0, 2.0))),
+    ], ids=["lobatto", "identity", "doubling", "nan", "nan_p_big_q", "big_p_nan_q",
+            "nan_then_doubling"])
+    def test_verdicts_match_the_point_stepping_scan(self, monkeypatch, phi_of):
+        want = scan_by_points(phi_of)
+        monkeypatch.setattr(analysis, "transfer_matrix", phi_of)
+        scan = stability_scan()
+        assert (scan.bounded, scan.transition) == want
 
     def test_unstable_point_grows_without_bound(self):
         """Direct substance check just past the onset: iterate the closed

@@ -667,7 +667,8 @@ class TestStabilityOutput:
 
 
     def test_map_bounded_everywhere_prints_none(self, monkeypatch):
-        monkeypatch.setattr(lobvi.analysis, "step_harmonic", lambda pt, phi: pt)
+        monkeypatch.setattr(lobvi.analysis, "transfer_matrix",
+                            lambda params: ((1.0, 0.0), (0.0, 1.0)))
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code, err = call_main(["stability", "--out", "-"])

@@ -31,7 +31,13 @@ from lobvi.harmonic import (
 from lobvi.mechanics import ElementState, PhasePoint, StepParams, harmonic_potential
 from lobvi.pendulum import discrete_lagrangian_nl
 from lobvi.quadrature import XI, integrate_unit, interpolate, stiffness_matrix
-from oracle import exact_coefficients, exact_fold, nearest_float, reference_fold
+from oracle import (
+    exact_coefficients,
+    exact_fold,
+    fold_by_products,
+    nearest_float,
+    reference_fold,
+)
 
 TABLE_PARAMS = HarmonicParams(m=1.0, omega=2.0 * math.pi, h=0.1)
 
@@ -39,6 +45,22 @@ lengths = st.floats(-3.0, 3.0, allow_nan=False)
 masses = st.floats(0.2, 5.0)
 steps = st.floats(0.02, 0.5)
 omegas = st.floats(0.1, 6.0)
+
+
+def fold_inputs(test):
+    """Fold inputs up to |q| = 1e200, with omega = 1e-300 at h ~ 2e300 among the examples."""
+    test = example(amplitude=-1e200, w=2.0 * math.pi, m=1.0, h=-0.1, n_steps=10)(test)
+    test = example(amplitude=1e200, w=2.0 * math.pi, m=1.0, h=0.1, n_steps=10)(test)
+    test = example(
+        amplitude=math.pi / 2.0, w=1e-300, m=1.0, h=(2.0 * math.pi / 1e-300) / 3, n_steps=3
+    )(test)
+    return given(
+        amplitude=st.one_of(lengths, st.floats(-1e200, 1e200)),
+        w=st.floats(0.0, 10.0),
+        m=st.floats(1e-3, 1e3),
+        h=st.one_of(st.floats(-2.0, -1e-6), st.floats(1e-6, 2.0)),
+        n_steps=st.integers(1, 50),
+    )(test)
 
 
 def element_action(element, params):
@@ -485,22 +507,27 @@ class TestFold:
             ]
             assert [bits(v) for v in run.discrete_energies] == [bits(v) for v in ref_hds]
 
-    @given(
-        amplitude=st.one_of(lengths, st.floats(-1e200, 1e200)),
-        w=st.floats(0.0, 10.0),
-        m=st.floats(1e-3, 1e3),
-        h=st.one_of(st.floats(-2.0, -1e-6), st.floats(1e-6, 2.0)),
-        n_steps=st.integers(1, 50),
-    )
-    @example(amplitude=math.pi / 2.0, w=1e-300, m=1.0, h=(2.0 * math.pi / 1e-300) / 3, n_steps=3)
-    @example(amplitude=1e200, w=2.0 * math.pi, m=1.0, h=0.1, n_steps=10)
-    @example(amplitude=-1e200, w=2.0 * math.pi, m=1.0, h=-0.1, n_steps=10)
+    @fold_inputs
     def test_energy_series_is_the_folds_energy_column(self, amplitude, w, m, h, n_steps):
         params = HarmonicParams(m=m, omega=w, h=h)
         start = PhasePoint(0.0, amplitude)
         want = run_harmonic(start, params, n_steps).discrete_energies
         got = discrete_energy_series(start, params, n_steps)
         assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @fold_inputs
+    def test_folds_match_the_written_out_products(self, amplitude, w, m, h, n_steps):
+        # c p and b q, formed once per node, are the same rounded products
+        params = HarmonicParams(m=m, omega=w, h=h)
+        start = PhasePoint(0.0, amplitude)
+        want_points, want_energies = fold_by_products(start, params, n_steps)
+        run = run_harmonic(start, params, n_steps)
+        assert [(pt.p.hex(), pt.q.hex()) for pt in run.points] == [
+            (pt.p.hex(), pt.q.hex()) for pt in want_points
+        ]
+        want = [v.hex() for v in want_energies]
+        assert [v.hex() for v in run.discrete_energies] == want
+        assert [v.hex() for v in discrete_energy_series(start, params, n_steps)] == want
 
     def test_huge_step_tiny_frequency_stays_finite(self):
         # three nodes per period at omega = 1e-300: h omega = 2 pi / 3, but
