@@ -141,8 +141,9 @@ def energy_drift_series(energies: Sequence[float], periods: int) -> list:
         end = i * last // periods
         for v in energies[j:end + 1]:
             err = abs(v - ref)
-            # max(running, nan) drops the NaN, but max(nan, err) keeps it
-            running = err if math.isnan(err) else max(running, err)
+            # a NaN replaces the maximum, and no later comparison with it is True
+            if err > running or err != err:
+                running = err
         j = end + 1
         out.append(running)
     return out

@@ -18,8 +18,9 @@ small h omega.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from decimal import Context, Decimal, localcontext
+from decimal import Context, Decimal, Inexact, localcontext
 
 from .mechanics import ElementState, PhasePoint, Run, _require
 from .quadrature import SQRT5, XI
@@ -27,6 +28,11 @@ from .quadrature import SQRT5, XI
 # the fold's arithmetic: 34 significant digits (IEEE decimal128); with no
 # traps a NaN or inf input propagates instead of raising InvalidOperation
 _FOLD = Context(prec=34, traps=[])
+# exact arithmetic on float values: a midpoint of two adjacent floats has at
+# most 768 significant digits, and any rounding raises instead of passing
+_EXACT = Context(prec=800, traps=[Inexact])
+_HALF = Decimal("0.5")
+_EMPTY = (Decimal(0), Decimal(0))
 
 
 class EliminationError(ValueError):
@@ -232,25 +238,51 @@ def _decimal_start(point: PhasePoint, params: HarmonicParams, n_steps: int) -> t
     return a, b, c, Decimal(point.p), Decimal(point.q)
 
 
+def _float_interval(f: float) -> tuple:
+    """Decimal bounds (lo, hi) of the open interval that float() rounds to f.
+
+    Each bound lies halfway between f and a neighbour.  float() rounds half
+    to even, so every decimal strictly between the bounds converts to f,
+    while a bound itself is a tie that `lo < e < hi` leaves to float().
+    The interval is empty, so that every value converts, at 0.0 (a tiny
+    negative decimal converts to -0.0), at a non-finite f and at the
+    largest float, whose outer neighbour is inf.
+    """
+    if f == 0.0 or not math.isfinite(f) or abs(f) == sys.float_info.max:
+        return _EMPTY
+    d = Decimal(f)
+    lo = _EXACT.multiply(_EXACT.add(d, Decimal(math.nextafter(f, -math.inf))), _HALF)
+    hi = _EXACT.multiply(_EXACT.add(d, Decimal(math.nextafter(f, math.inf))), _HALF)
+    return lo, hi
+
+
 def run_harmonic(point: PhasePoint, params: HarmonicParams, n_steps: int) -> Run:
     """Fold the one-step map n_steps times.
 
     Returns Run(points, None, discrete_energies), both lists of n_steps + 1
     values.  The fold runs in 34-digit decimal arithmetic and rounds once
     per emitted value, so the discrete-energy column is flat to the last bit
-    over any horizon the tests care about.
+    over any horizon the tests care about.  H_d is converted only when it
+    leaves the rounding interval of the last float it gave.
     """
     with localcontext(_FOLD):
         a, b, c, p, q = _decimal_start(point, params, n_steps)
         points = [point]
         # c p and b q serve twice: in H_d = (c p p - b q q) / 2 and in the next step
         cp, bq = c * p, b * q
-        energies = [float((cp * p - bq * q) / 2)]
+        f = float((cp * p - bq * q) * _HALF)
+        lo, hi = _float_interval(f)
+        energies = [f]
         for _ in range(n_steps):
             p, q = a * p + bq, cp + a * q
             points.append(PhasePoint(float(p), float(q)))
             cp, bq = c * p, b * q
-            energies.append(float((cp * p - bq * q) / 2))
+            e = (cp * p - bq * q) * _HALF
+            # a NaN compares False here: _FOLD traps nothing
+            if not lo < e < hi:
+                f = float(e)
+                lo, hi = _float_interval(f)
+            energies.append(f)
     return Run(points, None, energies)
 
 
@@ -263,9 +295,15 @@ def discrete_energy_series(point: PhasePoint, params: HarmonicParams, n_steps: i
     with localcontext(_FOLD):
         a, b, c, p, q = _decimal_start(point, params, n_steps)
         cp, bq = c * p, b * q
-        energies = [float((cp * p - bq * q) / 2)]
+        f = float((cp * p - bq * q) * _HALF)
+        lo, hi = _float_interval(f)
+        energies = [f]
         for _ in range(n_steps):
             p, q = a * p + bq, cp + a * q
             cp, bq = c * p, b * q
-            energies.append(float((cp * p - bq * q) / 2))
+            e = (cp * p - bq * q) * _HALF
+            if not lo < e < hi:
+                f = float(e)
+                lo, hi = _float_interval(f)
+            energies.append(f)
     return energies

@@ -4,9 +4,10 @@ the step, and the oscillator fold in double-double and in 50-digit arithmetic.
 call, so the tests can check the record's cached table against it.
 `drift_by_time` cuts a drift's periods by node time, an independent split
 that the node-index split of `energy_drift_series` must reproduce on
-uniform grids.  `scan_by_points` and `fold_by_products` are the stability
-scan and the oscillator fold written plainly, one `PhasePoint` step and
-every product spelled out, for the tests that pin the library's lean
+uniform grids.  `drift_by_max`, `scan_by_points` and `fold_by_products`
+are the drift's running maximum, the stability scan and the oscillator
+fold written plainly, with max(), one `PhasePoint` step and every product
+and conversion spelled out, for the tests that pin the library's lean
 loops to them.
 
 A classical fourth-order one-step method that shares nothing with the
@@ -302,6 +303,27 @@ def drift_by_time(times, energies, window: int) -> list:
             err = abs(energies[j] - ref)
             running = err if math.isnan(err) else max(running, err)
             j += 1
+        out.append(running)
+    return out
+
+
+def drift_by_max(energies, periods: int) -> list:
+    """Running |E - E0| maxima per period, kept with max() and a NaN test.
+
+    The node-index split of `lobvi.analysis.energy_drift_series`; a NaN
+    error replaces the maximum, which max(nan, err) then keeps.
+    """
+    ref = energies[0]
+    last = len(energies) - 1
+    running = 0.0
+    out = []
+    j = 0
+    for i in range(1, periods + 1):
+        end = i * last // periods
+        for v in energies[j:end + 1]:
+            err = abs(v - ref)
+            running = err if math.isnan(err) else max(running, err)
+        j = end + 1
         out.append(running)
     return out
 

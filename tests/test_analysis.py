@@ -30,7 +30,7 @@ from lobvi.harmonic import (
 )
 from lobvi.mechanics import PhasePoint, energy, harmonic_potential
 
-from oracle import drift_by_time, scan_by_points
+from oracle import drift_by_max, drift_by_time, scan_by_points
 
 W = 2.0 * math.pi
 
@@ -238,6 +238,28 @@ class TestEnergyDriftSeries:
         want = [3.0, 6.0, 10.0]
         assert energy_drift_series(energies, periods=3) == want
         assert drift_by_time([0.1 * j for j in range(11)], energies, 3) == want
+
+    @pytest.mark.parametrize(
+        "energies, periods",
+        [
+            ([math.nan, 1.0, 2.0, 3.0, 4.0], 4),
+            ([1.0, 2.0, math.nan, 0.5, 3.0], 4),
+            ([1.0, 2.0, 0.5, 3.0, math.nan], 4),
+            ([1.0, 2.0, math.inf, 3.0, 1.0], 2),
+            ([1.0, -math.inf, 2.0, math.inf, 0.5], 4),
+            ([3, 5, 1, 3, 7, 3], 2),
+            ([2.5], 1),
+            ([1.0, 1.5, 0.25], 5),
+        ],
+        ids=["nan-first", "nan-mid", "nan-last", "inf", "-inf-then-inf", "ints", "one-node",
+             "more-periods-than-nodes"],
+    )
+    def test_comparisons_match_max_with_a_nan_test(self, energies, periods):
+        def exact(values):
+            return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
+
+        want = drift_by_max(energies, periods)
+        assert exact(energy_drift_series(energies, periods)) == exact(want)
 
     @given(
         mesh=st.integers(2, 200),

@@ -1,6 +1,7 @@
 import math
 import struct
-from decimal import Context, Decimal, localcontext
+import sys
+from decimal import Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 
 import mpmath as mp
@@ -10,6 +11,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from lobvi import compensated as dd
+from lobvi import harmonic
 from lobvi.exact import HarmonicExact, harmonic_exact
 from lobvi.harmonic import (
     EliminationError,
@@ -48,9 +50,24 @@ omegas = st.floats(0.1, 6.0)
 
 
 def fold_inputs(test):
-    """Fold inputs up to |q| = 1e200, with omega = 1e-300 at h ~ 2e300 among the examples."""
-    test = example(amplitude=-1e200, w=2.0 * math.pi, m=1.0, h=-0.1, n_steps=10)(test)
-    test = example(amplitude=1e200, w=2.0 * math.pi, m=1.0, h=0.1, n_steps=10)(test)
+    """Fold inputs up to |q| = 1e200, and examples at the edges of H_d's rounding.
+
+    H_d underflows to 0.0 and to -0.0 at |q| = 1e-200, is 0 at omega = 0,
+    overflows to inf at |q| = 1e200 (the drift reads inf - inf = nan), and
+    sits one ulp below and at the largest float at q ~ 9.87e153; omega =
+    1e-300 at h ~ 2e300 is among the examples too.
+    """
+    w = 2.0 * math.pi
+    test = example(amplitude=-1e200, w=w, m=1.0, h=-0.1, n_steps=10)(test)
+    test = example(amplitude=1e200, w=w, m=1.0, h=0.1, n_steps=10)(test)
+    test = example(amplitude=1e-200, w=w, m=1.0, h=0.1, n_steps=10)(test)
+    test = example(amplitude=1e-200, w=w, m=1.0, h=-0.1, n_steps=10)(test)
+    test = example(amplitude=1.5, w=w, m=1.0, h=-0.1, n_steps=10)(test)
+    test = example(amplitude=1.5, w=0.0, m=1.0, h=0.1, n_steps=10)(test)
+    test = example(amplitude=9.86673910958119e153, w=w, m=1.0, h=0.1, n_steps=10)(test)
+    test = example(
+        amplitude=9.86673910958119e153, w=w, m=1.0000000000000002, h=0.1, n_steps=10
+    )(test)
     test = example(
         amplitude=math.pi / 2.0, w=1e-300, m=1.0, h=(2.0 * math.pi / 1e-300) / 3, n_steps=3
     )(test)
@@ -556,3 +573,53 @@ class TestFold:
         for n_steps in (10, 1000):
             run_harmonic(PhasePoint(0.3, 1.0), TABLE_PARAMS, n_steps)
         assert calls["n"] == 0
+
+
+def _even(x: float) -> bool:
+    """Whether the significand of x ends in a 0 bit."""
+    return struct.unpack("<q", struct.pack("<d", x))[0] & 1 == 0
+
+
+class TestFloatInterval:
+    """The open interval of decimals that float() rounds to f."""
+
+    @pytest.mark.parametrize(
+        "f",
+        # the last is the float below 2**-1021, whose midpoints have the most
+        # digits (768) of any float's
+        [1.0, -2.5, 5e-324, 2.2250738585072014e-308, 1e300, math.nextafter(2.0**-1021, 0.0)],
+    )
+    def test_bounds_are_the_ties_between_f_and_its_neighbours(self, f):
+        lo, hi = harmonic._float_interval(f)
+        fine = Context(prec=1000)
+        for bound, toward in ((lo, -math.inf), (hi, math.inf)):
+            neighbour = math.nextafter(f, toward)
+            inside = fine.next_toward(bound, Decimal(f))
+            outside = fine.next_toward(bound, Decimal(toward))
+            assert float(inside).hex() == f.hex()
+            assert float(outside).hex() == neighbour.hex()
+            # a tie: float() breaks it to the even significand, the strict test leaves it alone
+            assert float(bound).hex() == (f if _even(f) else neighbour).hex()
+            assert not lo < bound < hi
+
+    @pytest.mark.parametrize(
+        "f", [0.0, -0.0, math.inf, -math.inf, math.nan, sys.float_info.max, -sys.float_info.max]
+    )
+    def test_empty_at_zero_non_finite_and_the_largest_float(self, f):
+        lo, hi = harmonic._float_interval(f)
+        assert not lo < hi
+
+    def test_its_context_raises_instead_of_rounding(self, monkeypatch):
+        # 0.1's midpoints have 55 digits
+        monkeypatch.setattr(harmonic._EXACT, "prec", 54)
+        with pytest.raises(Inexact):
+            harmonic._float_interval(0.1)
+
+    @pytest.mark.parametrize(
+        "m, want", [(1.0, 1.7976931348623153e308), (1.0000000000000002, sys.float_info.max)]
+    )
+    def test_fold_examples_reach_the_largest_floats(self, m, want):
+        # the fold_inputs examples at q ~ 9.87e153 stay one ulp below and at the largest float
+        params = HarmonicParams(m=m, omega=2.0 * math.pi, h=0.1)
+        hds = discrete_energy_series(PhasePoint(0.0, 9.86673910958119e153), params, 10)
+        assert hds == [want] * 11
