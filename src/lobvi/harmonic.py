@@ -10,9 +10,9 @@ less than pi.
 transfer_matrix and the diagnostic helpers (center_residual, taylor_samples,
 truncation_leading_term) use plain arithmetic and take every constant in the
 number type of their inputs, so Decimal inputs flow through unchanged:
-run_harmonic and discrete_energy_series fold transfer_matrix in decimal,
-and the h^6 residual signal sits far below float64 cancellation noise for
-small h omega.
+discrete_energy_series, the one oscillator fold (run_harmonic calls it
+with a point list), folds transfer_matrix in decimal, and the h^6 residual
+signal sits far below float64 cancellation noise for small h omega.
 """
 
 from __future__ import annotations
@@ -222,22 +222,6 @@ def taylor_samples(q: float, v: float, params: HarmonicParams) -> tuple:
     return (q * even - v * odd, q, q * even + v * odd)
 
 
-def _decimal_start(point: PhasePoint, params: HarmonicParams, n_steps: int) -> tuple:
-    """(a, b, c, p, q): the one-step map and the start of an n_steps fold, in decimal.
-
-    The map is transfer_matrix evaluated on the exact decimal values of m,
-    omega and h, so its coefficients are divided by delta once per run.
-    Float64-rounded coefficients would break a^2 - b c = delta^2 by an ulp,
-    which shows up as a systematic per-step leak of H_d.  Call it in the
-    _FOLD context.
-    """
-    if n_steps < 1:
-        raise ValueError("need at least one step")
-    exact = HarmonicParams(Decimal(params.m), Decimal(params.omega), Decimal(params.h))
-    (a, b), (c, _) = transfer_matrix(exact)
-    return a, b, c, Decimal(point.p), Decimal(point.q)
-
-
 def _float_interval(f: float) -> tuple:
     """Decimal bounds (lo, hi) of the open interval that float() rounds to f.
 
@@ -257,17 +241,33 @@ def _float_interval(f: float) -> tuple:
 
 
 def run_harmonic(point: PhasePoint, params: HarmonicParams, n_steps: int) -> Run:
-    """Fold the one-step map n_steps times.
+    """Fold the one-step map n_steps times: Run(points, None, discrete_energies),
+    both lists of n_steps + 1 values, from discrete_energy_series."""
+    points = [point]
+    return Run(points, None, discrete_energy_series(point, params, n_steps, points))
 
-    Returns Run(points, None, discrete_energies), both lists of n_steps + 1
-    values.  The fold runs in 34-digit decimal arithmetic and rounds once
-    per emitted value, so the discrete-energy column is flat to the last bit
-    over any horizon the tests care about.  H_d is converted only when it
-    leaves the rounding interval of the last float it gave.
+
+def discrete_energy_series(
+    point: PhasePoint, params: HarmonicParams, n_steps: int, points: list | None = None
+) -> list:
+    """H_d at the n_steps + 1 nodes of the oscillator fold; appends each new node to `points`.
+
+    The one loop of run_harmonic and of the energy drift, which passes no
+    list and so skips the float conversions and PhasePoint of every step.
+    It runs in 34-digit decimal arithmetic and rounds once per emitted value,
+    so H_d is flat to the last bit over any horizon the tests care about;
+    H_d is converted only when it leaves the rounding interval of the last
+    float it gave.  The map is transfer_matrix on the exact decimal values
+    of m, omega and h, divided by delta once per run: float64-rounded
+    coefficients would break a^2 - b c = delta^2 by an ulp, which shows up
+    as a systematic per-step leak of H_d.
     """
+    if n_steps < 1:
+        raise ValueError("need at least one step")
     with localcontext(_FOLD):
-        a, b, c, p, q = _decimal_start(point, params, n_steps)
-        points = [point]
+        exact = HarmonicParams(Decimal(params.m), Decimal(params.omega), Decimal(params.h))
+        (a, b), (c, _) = transfer_matrix(exact)
+        p, q = Decimal(point.p), Decimal(point.q)
         # c p and b q serve twice: in H_d = (c p p - b q q) / 2 and in the next step
         cp, bq = c * p, b * q
         f = float((cp * p - bq * q) * _HALF)
@@ -275,33 +275,11 @@ def run_harmonic(point: PhasePoint, params: HarmonicParams, n_steps: int) -> Run
         energies = [f]
         for _ in range(n_steps):
             p, q = a * p + bq, cp + a * q
-            points.append(PhasePoint(float(p), float(q)))
+            if points is not None:
+                points.append(PhasePoint(float(p), float(q)))
             cp, bq = c * p, b * q
             e = (cp * p - bq * q) * _HALF
             # a NaN compares False here: _FOLD traps nothing
-            if not lo < e < hi:
-                f = float(e)
-                lo, hi = _float_interval(f)
-            energies.append(f)
-    return Run(points, None, energies)
-
-
-def discrete_energy_series(point: PhasePoint, params: HarmonicParams, n_steps: int) -> list:
-    """run_harmonic's discrete_energies alone, bit for bit.
-
-    For callers that read only H_d, such as the energy drift: the fold skips
-    the two float conversions and the PhasePoint of every step.
-    """
-    with localcontext(_FOLD):
-        a, b, c, p, q = _decimal_start(point, params, n_steps)
-        cp, bq = c * p, b * q
-        f = float((cp * p - bq * q) * _HALF)
-        lo, hi = _float_interval(f)
-        energies = [f]
-        for _ in range(n_steps):
-            p, q = a * p + bq, cp + a * q
-            cp, bq = c * p, b * q
-            e = (cp * p - bq * q) * _HALF
             if not lo < e < hi:
                 f = float(e)
                 lo, hi = _float_interval(f)

@@ -22,6 +22,9 @@ from .quadrature import SQRT5, XI
 # The Newton policy of both implicit schemes (see `converged`); an increment
 # above MAX_STEP is divergence (quadratic convergence never gets near it).
 TOL = 1e-14
+# 4 subnormal ulps: at one ulp the last bit of the update decides whether a
+# subnormal step stops, so Cramer's rule and an LU solve differ by an iteration
+FLOOR = 2e-323
 MAX_ITER = 20
 MAX_STEP = 1e6
 
@@ -57,11 +60,11 @@ def newton_error(reason: str, used: int, size=math.nan, scale=1.0) -> NewtonErro
 
 def converged(size: float, scale: float, used: int) -> bool:
     """Stop once the residual `size`, a position, is at most TOL (1e-14 puts every Table 2
-    entry within 2% of print) times `scale`, the step's largest position, or at most the least
-    subnormal where that underflows.  Raises NewtonError for a non-finite size, and at MAX_ITER."""
+    entry within 2% of print) times `scale`, the step's largest position, or at most FLOOR
+    where that falls below it.  Raises NewtonError for a non-finite size, and at MAX_ITER."""
     if not math.isfinite(size):
         raise newton_error("non-finite residual", used, size)  # unscaled: inf or nan as it is
-    if size <= max(TOL * scale, 5e-324):
+    if size <= max(TOL * scale, FLOOR):
         return True
     if used == MAX_ITER:
         raise newton_error("no convergence", used, size, scale)

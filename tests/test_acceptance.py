@@ -416,6 +416,28 @@ def test_long_horizon_drift():
     )
 
 
+def test_energy_growth_at_a_dividing_step():
+    # h = period/47 (the CLI's drift) samples the same phases every period, so
+    # a bounded band stops growing: the running maximum is 3.7529517e-8 after
+    # 10 periods and 1.4e-14 higher after 1000, where steps that stop at the
+    # 1e-14 Newton tolerance instead of at roundoff grew it by 1.2e-11 (at
+    # h = 0.025 the sampling phase wanders, and the maximum keeps finding
+    # higher points of the band)
+    t0 = perf_counter()
+    rec, _ = pendulum_record(47, periods=1000)
+    drift = energy_drift_series(rec.energies, periods=1000)
+    growth = drift[-1] - drift[9]
+    elapsed = perf_counter() - t0
+    report(
+        "pendulum energy growth",
+        growth < 1e-12,
+        f"max drift {drift[9]:.7e} after 10 periods, {drift[-1]:.7e} after 1000, "
+        f"growth {growth:.1e} (h=period/47)",
+        elapsed,
+        30.0,
+    )
+
+
 def test_energy_band_order():
     # backward error analysis gives the pendulum an O(h^6) energy band that
     # does not grow: the drift's running maxima over 50 periods read 3.7530e-8,

@@ -1016,8 +1016,8 @@ class TestExitCodes:
         assert code == 0, err
         assert len(buf.getvalue().splitlines()) == 32
 
-    # below positions of about 5e-310 TOL times the scale underflows to 0; the
-    # stop is floored at the least subnormal, so both solvers still converge
+    # below positions of about 2e-309 TOL times the scale falls under
+    # pendulum.FLOOR, where the stop is floored, so both solvers still converge
     @pytest.mark.parametrize(
         "args, nodes",
         [(["--amplitude", "1e-320"], 11), (["--amplitude", "1e-315", "--meshes", "47"], 48),

@@ -547,8 +547,7 @@ class TestFold:
         assert [v.hex() for v in discrete_energy_series(start, params, n_steps)] == want
 
     def test_huge_step_tiny_frequency_stays_finite(self):
-        # three nodes per period at omega = 1e-300: h omega = 2 pi / 3, but
-        # h alone is 2e300, past what a Dekker split of h or p can take
+        # three nodes per period at omega = 1e-300: h omega = 2 pi / 3 with h = 2e300
         w = 1e-300
         params = HarmonicParams(m=1.0, omega=w, h=(2.0 * math.pi / w) / 3)
         run = run_harmonic(PhasePoint(0.0, math.pi / 2.0), params, 3)

@@ -52,13 +52,15 @@ def harmonic_nl_params(h=0.05, m=1.0):
 
 
 lengths = st.floats(-3.0, 3.0, allow_nan=False)
+# every subnormal float and zero, as multiples of the least subnormal
+subnormals = st.integers(-(2 ** 52), 2 ** 52).map(lambda k: k * 5e-324)
 
 
 def stops(r1, r2, q_j, stages, q_next):
     """The stop rule: max(|r1|, |r2|) at most TOL times the largest position,
-    or at most the least subnormal where that product underflows."""
+    or at most FLOOR where that product falls below it."""
     scale = max(abs(q_j), *map(abs, stages), abs(q_next))
-    return max(abs(r1), abs(r2)) <= max(lobvi.pendulum.TOL * scale, 5e-324)
+    return max(abs(r1), abs(r2)) <= max(lobvi.pendulum.TOL * scale, lobvi.pendulum.FLOOR)
 
 
 def dense_newton(p_j, q_j, params):
@@ -201,13 +203,16 @@ class TestNewton:
         assert abs(q_next - want.q) <= 1e-12 * max(1.0, abs(want.q))
 
     @given(
-        p=st.floats(-2.0 * W, 2.0 * W),
-        q=lengths,
+        p=st.one_of(st.floats(-2.0 * W, 2.0 * W), subnormals),
+        q=st.one_of(lengths, subnormals),
         h=st.floats(-0.1, 0.1).filter(lambda h: abs(h) >= 1e-3),
         potential=st.sampled_from([pendulum_potential, harmonic_potential]),
     )
     # at a subnormal position TOL times the scale underflows to 0
     @example(p=0.0, q=2.2250738585e-313, h=0.0625, potential=pendulum_potential)
+    # one iteration leaves a residual of 2 subnormal ulps, where a 1-ulp floor made
+    # Cramer's rule take one more iteration than LU
+    @example(p=2.2250738585e-313, q=2.2250738585e-313, h=-0.048828125, potential=pendulum_potential)
     def test_matches_dense_reference(self, p, q, h, potential):
         params = StepParams(m=1.0, h=h, potential=potential(1.0, W))
         want, want_used = dense_newton(p, q, params)
