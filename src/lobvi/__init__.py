@@ -65,13 +65,13 @@ from .pendulum import (
     symplecticity_defect,
 )
 from .quadrature import (
+    LOBATTO,
     QuadratureRule,
     assemble_stiffness,
     eval_basis,
     eval_basis_deriv,
     integrate_unit,
     interpolate,
-    lobatto_rule,
     stiffness_matrix,
 )
 

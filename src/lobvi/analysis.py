@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .harmonic import HarmonicParams, transfer_matrix
@@ -154,8 +153,7 @@ STABILITY_GRID = tuple((280 + i) / 100.0 for i in range(37))
 STABILITY_STEPS = 2000
 
 
-@dataclass(frozen=True)
-class StabilityScan:
+class StabilityScan(NamedTuple):
     """Boundedness verdict per STABILITY_GRID value of (step x frequency)."""
 
     bounded: tuple

@@ -1,8 +1,10 @@
 """Shared state containers, potential models and the parameter rule.
 
 Small immutable records: a phase point (p, q), the node values of one time
-element, a stepper's run, a potential with its first two derivatives, and
-one implicit step's parameters.  Parameter records check fields by `_require`.
+element, a stepper's run, a potential with its first two derivatives, and one
+implicit step's parameters.  A record that validates its fields is a frozen
+dataclass whose __post_init__ checks them by `_require`; one that only holds
+values is a NamedTuple.
 """
 
 from __future__ import annotations
@@ -51,8 +53,7 @@ class Run(NamedTuple):
     discrete_energies: Optional[list]  # H_d at each point, oscillator fold only
 
 
-@dataclass(frozen=True)
-class PotentialModel:
+class PotentialModel(NamedTuple):
     """Potential V with derivatives dV, d2V and an identifying tag."""
 
     tag: str

@@ -10,7 +10,7 @@ import math
 
 from . import pendulum
 from .mechanics import PhasePoint, Run, StepParams
-from .pendulum import converged, fold, free_drift, newton_error
+from .pendulum import NewtonError, converged, fold, free_drift
 
 
 def step_midpoint(point: PhasePoint, params: StepParams) -> tuple:
@@ -33,10 +33,10 @@ def step_midpoint(point: PhasePoint, params: StepParams) -> tuple:
             return PhasePoint(p0 - h * force, x), used
         dg = 1.0 + h * h / (4.0 * m) * d2V(0.5 * (q0 + x))
         if dg == 0.0 or not math.isfinite(dg):
-            raise newton_error("singular Jacobian", used, abs(g), scale)
+            raise NewtonError("singular Jacobian", used, abs(g), scale)
         dx = g / dg
         if abs(dx) > pendulum.MAX_STEP:
-            raise newton_error("diverged", used, abs(g), scale)
+            raise NewtonError("diverged", used, abs(g), scale)
         x -= dx
 
 

@@ -32,16 +32,16 @@ MAX_STEP = 1e6
 class NewtonError(RuntimeError):
     """Newton failed: non-convergence, divergence, a singular Jacobian or a non-finite residual.
 
-    A structured record: `reason` names the failure, `residual` is the last
-    scaled residual and `iterations` the iterations done.  When the solve was
+    A structured record: `reason` names the failure, `iterations` the `used` iterations and
+    `residual` the last scaled residual size / scale (inf for scale 0).  When the solve was
     one step of a fold, `step` (1-based) and `n_steps` say which.
     """
 
-    def __init__(self, reason: str, residual: float = math.nan, iterations: int = 0):
+    def __init__(self, reason: str, used: int, size: float = math.nan, scale: float = 1.0):
         super().__init__(reason)
         self.reason = reason
-        self.residual = residual
-        self.iterations = iterations
+        self.residual = size / scale if scale else math.inf
+        self.iterations = used
         self.step: Optional[int] = None
         self.n_steps: Optional[int] = None
 
@@ -53,21 +53,16 @@ class NewtonError(RuntimeError):
         )
 
 
-def newton_error(reason: str, used: int, size=math.nan, scale=1.0) -> NewtonError:
-    """The failure after `used` iterations, with scaled residual size / scale (inf for scale 0)."""
-    return NewtonError(reason, residual=size / scale if scale else math.inf, iterations=used)
-
-
 def converged(size: float, scale: float, used: int) -> bool:
     """Stop once the residual `size`, a position, is at most TOL (1e-14 puts every Table 2
     entry within 2% of print) times `scale`, the step's largest position, or at most FLOOR
     where that falls below it.  Raises NewtonError for a non-finite size, and at MAX_ITER."""
     if not math.isfinite(size):
-        raise newton_error("non-finite residual", used, size)  # unscaled: inf or nan as it is
+        raise NewtonError("non-finite residual", used, size)  # unscaled: inf or nan as it is
     if size <= max(TOL * scale, FLOOR):
         return True
     if used == MAX_ITER:
-        raise newton_error("no convergence", used, size, scale)
+        raise NewtonError("no convergence", used, size, scale)
     return False
 
 
@@ -75,7 +70,7 @@ def free_drift(p: float, q: float, params: StepParams) -> float:
     """The free drift q + h p / m that starts both schemes' Newton; raises if it is not finite."""
     drift = q + params.h * p / params.m
     if not math.isfinite(drift):
-        raise newton_error("non-finite residual", 0, math.inf)
+        raise NewtonError("non-finite residual", 0, math.inf)
     return drift
 
 
@@ -93,7 +88,7 @@ def fold(step: Callable[[PhasePoint], tuple], point: PhasePoint, n_steps: int) -
         try:
             point, used = step(point)
             if not math.isfinite(point.p):
-                raise newton_error("non-finite residual", used)
+                raise NewtonError("non-finite residual", used)
         except NewtonError as exc:
             exc.step, exc.n_steps = j + 1, n_steps
             raise
@@ -186,11 +181,11 @@ def newton_step_solve(p_j: float, q_j: float, params: StepParams) -> tuple:
         (j11, j12), (j21, j22) = jacobian_dFL((a, b), params)
         det = j11 * j22 - j12 * j21
         if det == 0.0 or not math.isfinite(det):
-            raise newton_error("singular Jacobian", used, size, scale)
+            raise NewtonError("singular Jacobian", used, size, scale)
         da = (j12 * r2 - j22 * r1) / det
         db = (j21 * r1 - j11 * r2) / det
         if max(abs(da), abs(db)) > MAX_STEP:
-            raise newton_error("diverged", used, size, scale)
+            raise NewtonError("diverged", used, size, scale)
         a, b = a + da, b + db
 
 

@@ -11,8 +11,7 @@ derived identities such as xi * (1 - xi) = 1/5 hold to machine precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .mechanics import ElementState
 
@@ -20,24 +19,21 @@ SQRT5 = math.sqrt(5.0)
 XI = 0.5 - SQRT5 / 10.0
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(NamedTuple):
     nodes: tuple
     weights: tuple
 
 
-def lobatto_rule() -> QuadratureRule:
-    return QuadratureRule(
-        nodes=(0.0, XI, 1.0 - XI, 1.0),
-        weights=(1.0 / 12.0, 5.0 / 12.0, 5.0 / 12.0, 1.0 / 12.0),
-    )
+LOBATTO = QuadratureRule(
+    nodes=(0.0, XI, 1.0 - XI, 1.0),
+    weights=(1.0 / 12.0, 5.0 / 12.0, 5.0 / 12.0, 1.0 / 12.0),
+)
 
 
 def integrate_unit(f: Callable[[float], float]) -> float:
     """Weighted node sum; exact for polynomials of degree <= 5."""
-    rule = lobatto_rule()
     total = 0.0
-    for node, weight in zip(rule.nodes, rule.weights):
+    for node, weight in zip(LOBATTO.nodes, LOBATTO.weights):
         total += weight * f(node)
     return total
 
@@ -106,8 +102,7 @@ def assemble_stiffness() -> tuple:
     this must reproduce the closed form; it is kept as an independent route
     on purpose.
     """
-    rule = lobatto_rule()
-    grads = [(w, eval_basis_deriv(node)) for node, w in zip(rule.nodes, rule.weights)]
+    grads = [(w, eval_basis_deriv(node)) for node, w in zip(LOBATTO.nodes, LOBATTO.weights)]
     return tuple(
         tuple(sum(w * (g[a] * g[b]) for w, g in grads) for b in range(4))
         for a in range(4)

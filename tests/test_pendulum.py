@@ -251,6 +251,15 @@ class TestNewton:
             assert info.value.step is None and info.value.n_steps is None
             assert math.isfinite(info.value.residual)
 
+    def test_error_scales_its_residual(self):
+        exc = NewtonError("diverged", 3, 2.0, 4.0)
+        assert (exc.reason, exc.iterations, exc.residual) == ("diverged", 3, 0.5)
+        assert NewtonError("diverged", 3, 2.0, 0.0).residual == math.inf
+        assert math.isnan(NewtonError("non-finite residual", 0).residual)
+        assert str(exc) == "diverged after 3 iterations, scaled residual 5.000e-01"
+        exc.step, exc.n_steps = 2, 5
+        assert str(exc) == "step 2 of 5: diverged after 3 iterations, scaled residual 5.000e-01"
+
     def test_non_finite_residual_is_not_converged(self):
         # V' is NaN only at q_next = 1.0, which enters the momentum update alone
         nan_above_one = PotentialModel(

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lobvi.quadrature import (
+    LOBATTO,
     SQRT5,
     XI,
     assemble_stiffness,
@@ -13,12 +14,11 @@ from lobvi.quadrature import (
     eval_basis_deriv,
     integrate_unit,
     interpolate,
-    lobatto_rule,
     stiffness_matrix,
 )
 from lobvi.mechanics import ElementState
 
-RULE = lobatto_rule()
+RULE = LOBATTO
 
 
 class TestRule:
