@@ -50,7 +50,6 @@ from .mechanics import (
     Run,
     StepParams,
     energy,
-    free_potential,
     harmonic_potential,
     pendulum_potential,
 )

@@ -79,7 +79,7 @@ class StepParams:
 
 
 def harmonic_potential(m: float, omega: float) -> PotentialModel:
-    """V(q) = m omega^2 q^2 / 2."""
+    """V(q) = m omega^2 q^2 / 2; omega = 0 is V = 0, free drift."""
     k = m * omega * omega
     return PotentialModel(
         tag="harmonic",
@@ -100,16 +100,6 @@ def pendulum_potential(m: float, omega: float) -> PotentialModel:
         V=lambda q: k * (2.0 * math.sin(0.5 * q) ** 2),
         dV=lambda q: k * math.sin(q),
         d2V=lambda q: k * math.cos(q),
-    )
-
-
-def free_potential() -> PotentialModel:
-    """V identically zero; free drift."""
-    return PotentialModel(
-        tag="free",
-        V=lambda q: 0.0,
-        dV=lambda q: 0.0,
-        d2V=lambda q: 0.0,
     )
 
 

@@ -112,7 +112,7 @@ def step_residual(
     p_j: float,
     q_j: float,
     params: StepParams,
-    dv_j: Optional[float] = None,
+    dv_j: float,
 ) -> tuple:
     """(r1, r2, q_next, forces) at the interior nodes stages = (q_xi, q_xic).
 
@@ -122,8 +122,8 @@ def step_residual(
     make the element action stationary between q_j and q_next (for V = 0 the
     linear interpolant).  forces = V'_j + 5 (V'_xi + V'_xic), so that once
     the nodes are solved p_next = p_j - h (forces + V'(q_next)) / 12.
-    V' is evaluated once at each interior node; dv_j is V'(q_j) when the
-    caller already has it.
+    V' is evaluated once at each interior node; dv_j is V'(q_j), which the
+    caller evaluates once per step.
     """
     dV = params.potential.dV
     h, m = params.h, params.m
@@ -131,14 +131,13 @@ def step_residual(
     coef = h * h / (30.0 * m)
     vx = dV(q_xi)
     vc = dV(q_xic)
-    v0 = dV(q_j) if dv_j is None else dv_j
     q_next = q_j + (
         h * p_j / m
-        - h * h / (24.0 * m) * (2.0 * v0 + (5.0 + SQRT5) * vx + (5.0 - SQRT5) * vc)
+        - h * h / (24.0 * m) * (2.0 * dv_j + (5.0 + SQRT5) * vx + (5.0 - SQRT5) * vc)
     )
     r1 = q_xi - coef * (vc + 2.0 * vx) - ((1.0 - XI) * q_j + XI * q_next)
     r2 = q_xic - coef * (2.0 * vc + vx) - (XI * q_j + (1.0 - XI) * q_next)
-    return (r1, r2, q_next, v0 + 5.0 * (vx + vc))
+    return (r1, r2, q_next, dv_j + 5.0 * (vx + vc))
 
 
 def jacobian_dFL(stages: tuple, params: StepParams) -> tuple:

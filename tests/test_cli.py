@@ -754,6 +754,25 @@ class TestExitCodes:
         assert code == 2
         assert "config error: cannot write output:" in err
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_failed_write_is_config_error(self):
+        # /dev/full opens, then every write fails with ENOSPC
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code, err = call_main(["trajectory", "--out", "/dev/full"])
+        assert code == 2
+        assert err.startswith("config error: cannot write output: ")
+        assert buf.getvalue() == ""
+
+    def test_main_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["lobvi", "stability", "--out", "-"])
+        assert main() == 0
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert len(lines) == 39
+        assert lines[:2] == ["# transition: 3.11,3.12", "h_omega,bounded"]
+        assert err == "stability: transition 3.11,3.12 -> stdout\n"
+
     @pytest.mark.parametrize(
         "args, want",
         [

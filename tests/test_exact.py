@@ -21,7 +21,6 @@ from lobvi.exact import (
 from lobvi.mechanics import (
     PhasePoint,
     energy,
-    free_potential,
     harmonic_potential,
     pendulum_potential,
 )
@@ -281,7 +280,7 @@ class TestPendulumExact:
 
 class TestOracleIntegrate:
     def test_free_motion_is_exact_drift(self):
-        out = oracle_integrate(free_potential(), PhasePoint(1.2, 0.3), 2.0, 100, m=2.0)
+        out = oracle_integrate(harmonic_potential(2.0, 0.0), PhasePoint(1.2, 0.3), 2.0, 100, m=2.0)
         assert abs(out.p - 1.2) < 1e-15
         assert abs(out.q - (0.3 + 2.0 * 1.2 / 2.0)) < 1e-14
 
@@ -306,7 +305,7 @@ class TestOracleIntegrate:
 
     def test_needs_a_step(self):
         with pytest.raises(ValueError):
-            oracle_integrate(free_potential(), PhasePoint(0.0, 0.0), 1.0, 0)
+            oracle_integrate(harmonic_potential(1.0, 0.0), PhasePoint(0.0, 0.0), 1.0, 0)
 
     def test_pendulum_formula_agrees_with_oracle(self):
         """Independent confirmation of the elliptic closed form: march RK4

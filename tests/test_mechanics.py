@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from lobvi.mechanics import (
     PhasePoint,
     energy,
-    free_potential,
     harmonic_potential,
     pendulum_potential,
 )
@@ -76,20 +75,19 @@ class TestPendulumPotential:
         assert abs(pend.V(q) - harm.V(q)) < 4.0 * abs(q) ** 4 + 1e-15
 
 
-def test_free_potential_is_zero():
-    pot = free_potential()
-    assert pot.tag == "free"
+def test_harmonic_potential_at_zero_omega_is_zero():
+    pot = harmonic_potential(1.0, 0.0)
     for q in (-2.0, 0.0, 5.0):
         assert pot.V(q) == 0.0 and pot.dV(q) == 0.0 and pot.d2V(q) == 0.0
 
 
 class TestEnergy:
     def test_kinetic_only(self):
-        assert energy(PhasePoint(3.0, 0.0), free_potential(), 2.0) == 2.25
+        assert energy(PhasePoint(3.0, 0.0), harmonic_potential(2.0, 0.0), 2.0) == 2.25
 
     def test_momentum_and_mass_past_the_square_root_of_the_float_range(self):
         # p * p overflows at p = 1e200, but H = p^2 / 2m = 5e199 does not
-        assert energy(PhasePoint(1e200, 0.0), free_potential(), 1e200) == 5e199
+        assert energy(PhasePoint(1e200, 0.0), harmonic_potential(1e200, 0.0), 1e200) == 5e199
 
     @given(p=st.floats(-5.0, 5.0), q=qs)
     def test_split(self, p, q):

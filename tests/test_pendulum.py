@@ -22,7 +22,6 @@ from lobvi.mechanics import (
     Run,
     StepParams,
     energy,
-    free_potential,
     harmonic_potential,
     pendulum_potential,
 )
@@ -71,7 +70,7 @@ def dense_newton(p_j, q_j, params):
     x = np.array([(1.0 - XI) * q_j + XI * drift, XI * q_j + (1.0 - XI) * drift])
     for used in range(lobvi.pendulum.MAX_ITER + 1):
         stages = tuple(x.tolist())
-        r1, r2, q_next, forces = step_residual(stages, p_j, q_j, params)
+        r1, r2, q_next, forces = step_residual(stages, p_j, q_j, params, params.potential.dV(q_j))
         if stops(r1, r2, q_j, stages, q_next):
             p_next = p_j - h * (forces + params.potential.dV(q_next)) / 12.0
             return (*stages, p_next, q_next), used
@@ -112,47 +111,54 @@ class TestInternalEquations:
     def test_harmonic_closed_form_satisfies_system(self):
         pt = PhasePoint(0.4, 1.1)
         _, stages = closed_form_step(pt, HarmonicParams(m=1.0, omega=W, h=0.05))
-        r1, r2 = step_residual(stages, pt.p, pt.q, harmonic_nl_params())[:2]
+        params = harmonic_nl_params()
+        r1, r2 = step_residual(stages, pt.p, pt.q, params, params.potential.dV(pt.q))[:2]
         assert abs(r1) <= 1e-12 and abs(r2) <= 1e-12
 
     def test_free_motion_linear_interpolant(self):
         # p = 4 drifts from q_l = 0.2 to q_r = 1.4 in h = 0.3
-        params = StepParams(m=1.0, h=0.3, potential=free_potential())
+        params = StepParams(m=1.0, h=0.3, potential=harmonic_potential(1.0, 0.0))
         q_l, q_r = 0.2, 1.4
+        dv_l = params.potential.dV(q_l)
         stages = ((1 - XI) * q_l + XI * q_r, XI * q_l + (1 - XI) * q_r)
-        r1, r2 = step_residual(stages, 4.0, q_l, params)[:2]
+        r1, r2 = step_residual(stages, 4.0, q_l, params, dv_l)[:2]
         assert abs(r1) < 1e-15 and abs(r2) < 1e-15
         off_line = (stages[0] + 1e-3, stages[1])
-        assert abs(step_residual(off_line, 4.0, q_l, params)[0]) > 1e-4
+        assert abs(step_residual(off_line, 4.0, q_l, params, dv_l)[0]) > 1e-4
 
     def test_equilibrium(self):
-        assert step_residual((0.0, 0.0), 0.0, 0.0, pendulum_params())[:2] == (0.0, 0.0)
+        params = pendulum_params()
+        out = step_residual((0.0, 0.0), 0.0, 0.0, params, params.potential.dV(0.0))
+        assert out[:2] == (0.0, 0.0)
 
 
 class TestDynamicsResidual:
     """q_next comes out of the residual and p_next from its force sum."""
 
     def test_equilibrium(self):
-        assert step_residual((0.0, 0.0), 0.0, 0.0, pendulum_params())[2:] == (0.0, 0.0)
+        params = pendulum_params()
+        out = step_residual((0.0, 0.0), 0.0, 0.0, params, params.potential.dV(0.0))
+        assert out[2:] == (0.0, 0.0)
 
     def test_closed_form_step_is_the_explicit_update(self):
         pt = PhasePoint(0.4, 1.1)
         out, stages = closed_form_step(pt, HarmonicParams(m=1.0, omega=W, h=0.05))
         params = harmonic_nl_params()
-        _, _, q_next, forces = step_residual(stages, pt.p, pt.q, params)
+        _, _, q_next, forces = step_residual(stages, pt.p, pt.q, params, params.potential.dV(pt.q))
         p_next = pt.p - params.h * (forces + params.potential.dV(q_next)) / 12.0
         assert abs(q_next - out.q) <= 1e-12 and abs(p_next - out.p) <= 1e-11
 
     def test_free_motion_is_drift(self):
-        params = StepParams(m=2.0, h=0.25, potential=free_potential())
+        params = StepParams(m=2.0, h=0.25, potential=harmonic_potential(2.0, 0.0))
         p0, q0 = 1.2, 0.3
+        dv0 = params.potential.dV(q0)
         for stages in ((0.0, 0.0), (0.5, -0.7)):
-            assert step_residual(stages, p0, q0, params)[2:] == (q0 + 0.25 * p0 / 2.0, 0.0)
+            assert step_residual(stages, p0, q0, params, dv0)[2:] == (q0 + 0.25 * p0 / 2.0, 0.0)
 
 
 class TestJacobian:
     def test_zero_curvature_structure(self):
-        params = StepParams(m=2.0, h=0.3, potential=free_potential())
+        params = StepParams(m=2.0, h=0.3, potential=harmonic_potential(2.0, 0.0))
         assert jacobian_dFL((0.1, 0.2), params) == ((1.0, 0.0), (0.0, 1.0))
 
     def test_determinant_closed_form(self):
@@ -175,9 +181,10 @@ class TestJacobian:
         params = pendulum_params(h=0.04, m=1.3)
         p_j, q_j = 0.5, 0.9
         u0 = np.array([0.8, 1.0])
+        dv_j = params.potential.dV(q_j)
 
         def residual(vec):
-            return np.array(step_residual(tuple(vec), p_j, q_j, params)[:2])
+            return np.array(step_residual(tuple(vec), p_j, q_j, params, dv_j)[:2])
 
         J = np.array(jacobian_dFL(tuple(u0), params))
         eps = 1e-6
@@ -221,7 +228,7 @@ class TestNewton:
         sq, sp = max(1.0, abs(q)), max(1.0, abs(p))
         for g, w, scale in zip(got, want, (sq, sq, sp, sq)):
             assert abs(g - w) <= 1e-12 * scale
-        r1, r2, q_next, _ = step_residual(got[:2], p, q, params)
+        r1, r2, q_next, _ = step_residual(got[:2], p, q, params, params.potential.dV(q))
         assert q_next == got[3]
         assert stops(r1, r2, q, got[:2], q_next)
 
@@ -269,7 +276,8 @@ class TestNewton:
         params = StepParams(m=1.0, h=0.1, potential=nan_above_one)
         # the solver's start: interior nodes on the line to the free drift 1.0
         guess = ((1.0 - XI) * 0.5 + XI, XI * 0.5 + (1.0 - XI))
-        assert step_residual(guess, 5.0, 0.5, params) == (0.0, 0.0, 1.0, 0.0)
+        dv_j = params.potential.dV(0.5)
+        assert step_residual(guess, 5.0, 0.5, params, dv_j) == (0.0, 0.0, 1.0, 0.0)
         # the fold checks each emitted point, so the NaN momentum fails its step
         with pytest.raises(NewtonError, match=r"^step 1 of 1: ") as info:
             run_pendulum(PhasePoint(5.0, 0.5), params, 1)
