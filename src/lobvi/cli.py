@@ -121,8 +121,6 @@ class ExperimentConfig:
                     _require("t", nodes[n] * step.h)
         except ValueError as exc:
             raise ConfigError(f"{_OPTION_OF_FIELD[exc.field]}: {exc}") from None
-        if self.system == "harmonic" and self.amplitude == 0.0:
-            raise ConfigError("harmonic amplitude must be nonzero")
         # h*omega is the step linearized at q = 0, where both orbits are stiffest;
         # past the limit the oscillator blows up and the pendulum loses accuracy
         advisories = []

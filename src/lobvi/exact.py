@@ -34,7 +34,7 @@ class HarmonicExact:
     m: float
 
     def __post_init__(self):
-        _require("amplitude", self.amplitude)
+        _require("amplitude", self.amplitude, self.amplitude != 0.0, "nonzero")
         _require("omega", self.omega, self.omega > 0.0, "positive")
         _require("m", self.m, self.m > 0.0, "positive")
 

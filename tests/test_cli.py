@@ -781,8 +781,9 @@ class TestExitCodes:
                 "amplitude: q0 must be finite and in (0, pi), got 3.5",
             ),
             (["--mass", "inf"], "mass: m must be finite and positive, got inf"),
+            (["--amplitude", "0"], "amplitude: amplitude must be finite and nonzero, got 0.0"),
         ],
-        ids=["amplitude", "mass"],
+        ids=["amplitude", "mass", "zero-amplitude"],
     )
     def test_physical_value_error_names_the_option(self, args, want):
         code, err = call_main(["trajectory", *args])
@@ -1091,6 +1092,14 @@ class TestStandardLibraryOnly:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == "False\n"
+
+    def test_library_import_leaves_the_cli_unloaded(self):
+        done = self._python(
+            "import sys, lobvi.exact; "
+            "print('lobvi.cli' in sys.modules, 'argparse' in sys.modules)"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False False\n"
 
     def test_drift_runs_with_numpy_blocked(self):
         done = self._python(

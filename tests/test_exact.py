@@ -69,6 +69,9 @@ class TestHarmonicExact:
                 fields[name] = bad
                 with pytest.raises(ValueError, match=rf"^{name} must be"):
                     HarmonicExact(**fields)
+        for zero in (0.0, -0.0):
+            with pytest.raises(ValueError, match=r"^amplitude must be"):
+                HarmonicExact(amplitude=zero, omega=W, m=1.0)
 
 
 class TestCompleteEllipticK:
