@@ -36,9 +36,11 @@ from .pendulum import NewtonError, run_pendulum
 
 _SYSTEMS = ("harmonic", "pendulum")
 _SCHEMES = ("lobatto", "midpoint")
-# options that set m and each field of the exact-reference and step records, and node time t
+# options that set m and each field of the exact-reference and step records, node time t,
+# and the exact orbit's three scales
 _OPTION_OF_FIELD = {"m": "mass", "omega": "omega", "amplitude": "amplitude", "q0": "amplitude",
-                    "h": "omega, meshes", "t": "omega, periods"}
+                    "h": "omega, meshes", "t": "omega, periods",
+                    **dict.fromkeys(("q(0)", "p(T/4)", "H0"), "mass, omega, amplitude")}
 
 _FMT = "{:.16e}".format
 
@@ -110,15 +112,21 @@ class ExperimentConfig:
             if self.system == "harmonic":
                 reference = HarmonicExact(amplitude=self.amplitude, omega=self.omega, m=self.m)
                 span = 2.0 * math.pi / self.omega
-                potential = harmonic_potential(self.m, self.omega)
+                potential, exact = harmonic_potential(self.m, self.omega), harmonic_exact
             else:
                 reference = PendulumExact(q0=self.amplitude, omega=self.omega, m=self.m)
                 span, potential = reference.period, pendulum_potential(self.m, self.omega)
+                exact = pendulum_exact
             steps = {n: StepParams(m=self.m, h=span / n, potential=potential) for n in self.meshes}
             if row.build is not _drift_lines:
                 # _simulate's last node time; the drift reads no times
                 for n, step in steps.items():
                     _require("t", nodes[n] * step.h)
+            # one rule for every scheme, before any step: the orbit's scales are floats
+            start = exact(0.0, reference)
+            _require("q(0)", start.q)
+            _require("p(T/4)", exact(0.25 * span, reference).p)
+            _require("H0", energy(start, potential, self.m))
         except ValueError as exc:
             raise ConfigError(f"{_OPTION_OF_FIELD[exc.field]}: {exc}") from None
         # h*omega is the step linearized at q = 0, where both orbits are stiffest;

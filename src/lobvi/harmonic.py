@@ -11,7 +11,8 @@ transfer_matrix and the diagnostic helpers (center_residual, taylor_samples,
 truncation_leading_term) use plain arithmetic and take every constant in the
 number type of their inputs, so Decimal inputs flow through unchanged:
 discrete_energy_series, the one oscillator fold (run_harmonic calls it
-with a point list), folds transfer_matrix in decimal, and the h^6 residual
+with a point list), folds transfer_matrix in decimal and reads H_d only
+where a rounding bound cannot vouch for its float, and the h^6 residual
 signal sits far below float64 cancellation noise for small h omega.
 """
 
@@ -32,6 +33,8 @@ _FOLD = Context(prec=34, traps=[])
 # most 768 significant digits, and any rounding raises instead of passing
 _EXACT = Context(prec=800, traps=[Inexact])
 _HALF = Decimal("0.5")
+# the unit roundoff of _FOLD: half a unit in the 34th significant digit
+_U = Decimal("5e-34")
 _EMPTY = (Decimal(0), Decimal(0))
 
 
@@ -247,6 +250,17 @@ def run_harmonic(point: PhasePoint, params: HarmonicParams, n_steps: int) -> Run
     return Run(points, None, discrete_energy_series(point, params, n_steps, points))
 
 
+def _covered(e: Decimal, lo: Decimal, hi: Decimal, rate: Decimal) -> int:
+    """How many nodes after one whose H_d is e the bound keeps strictly inside (lo, hi).
+
+    0 when H_d has no bound (an infinite rate) or e is not strictly inside,
+    as at NaN, inf, 0 and the largest floats, whose intervals are empty.
+    """
+    if not lo < e < hi:
+        return 0
+    return int(min(e - lo, hi - e) / (rate * abs(e)))
+
+
 def discrete_energy_series(
     point: PhasePoint, params: HarmonicParams, n_steps: int, points: list | None = None
 ) -> list:
@@ -255,33 +269,68 @@ def discrete_energy_series(
     The one loop of run_harmonic and of the energy drift, which passes no
     list and so skips the float conversions and PhasePoint of every step.
     It runs in 34-digit decimal arithmetic and rounds once per emitted value,
-    so H_d is flat to the last bit over any horizon the tests care about;
-    H_d is converted only when it leaves the rounding interval of the last
-    float it gave.  The map is transfer_matrix on the exact decimal values
-    of m, omega and h, divided by delta once per run: float64-rounded
-    coefficients would break a^2 - b c = delta^2 by an ulp, which shows up
-    as a systematic per-step leak of H_d.
+    so H_d is flat to the last bit over any horizon the tests care about.
+    The map is transfer_matrix on the exact decimal values of m, omega and
+    h, divided by delta once per run: float64-rounded coefficients would
+    break a^2 - b c = delta^2 by an ulp, which shows up as a systematic
+    per-step leak of H_d.
+
+    Every node is stepped, but H_d is evaluated only where a rounding bound
+    cannot vouch that it stays strictly inside (lo, hi), the rounding
+    interval of the last float f it gave, and converted only where it has
+    left that interval; a covered node emits f again.  The bound (Higham,
+    Accuracy and Stability of Numerical Algorithms, section 2.2): an exact
+    step multiplies H_d = (c p p - b q q) / 2 by 1 + eps, eps = a^2 - b c - 1
+    on the stored entries, computed exactly once per run.  While b c <= 0,
+    H_d is semidefinite and the map is a scaled rotation in
+    (sqrt|c| p, sqrt|b| q), so with u = 5e-34, the unit roundoff of 34
+    digits, the roundings of one step move H_d by at most (|eps| + 12u)|H_d|
+    (for |eps| < 1; a larger eps counts no node) and an evaluation lies
+    within 4u|H_d| of the form.  After a node evaluated to e, the next k
+    nodes thus stay strictly inside (lo, hi) whenever
+    2k(|eps| + 18u)|e| < min(e - lo, hi - e); the fold counts k with
+    rate = 4(|eps| + 64u), twice that margin, which also covers the
+    rounding of the count.  Two fallbacks evaluate H_d at every node, as a
+    plain fold would: b c > 0, where H_d is indefinite and the rate is
+    infinite, and an e not strictly inside (lo, hi), which includes NaN,
+    inf, 0.0 and the largest floats.  The run's last node is always evaluated, so every series ends
+    on a measured H_d.  A map that leaks H_d (a large eps) gets short
+    counts and is read node by node.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
     with localcontext(_FOLD):
         exact = HarmonicParams(Decimal(params.m), Decimal(params.omega), Decimal(params.h))
         (a, b), (c, _) = transfer_matrix(exact)
+        rate = Decimal("Infinity")
+        if b * c <= 0:
+            with localcontext(_EXACT):
+                # exact: a^2 + |b c| = 1 + eps keeps a^2 - 1 to few digits, and
+                # it is 0 where x rounds a to 1, so no sum spans from 1 down to
+                # the last digit of a tiny b c
+                eps = a * a - 1 - b * c
+            rate = 4 * (abs(eps) + 64 * _U)
         p, q = Decimal(point.p), Decimal(point.q)
         # c p and b q serve twice: in H_d = (c p p - b q q) / 2 and in the next step
         cp, bq = c * p, b * q
-        f = float((cp * p - bq * q) * _HALF)
+        e = (cp * p - bq * q) * _HALF
+        f = float(e)
         lo, hi = _float_interval(f)
         energies = [f]
-        for _ in range(n_steps):
+        # steps i < until end on covered nodes; the last step, n_steps - 1, never does
+        last = n_steps - 1
+        until = min(_covered(e, lo, hi, rate), last)
+        for i in range(n_steps):
             p, q = a * p + bq, cp + a * q
             if points is not None:
                 points.append(PhasePoint(float(p), float(q)))
             cp, bq = c * p, b * q
-            e = (cp * p - bq * q) * _HALF
-            # a NaN compares False here: _FOLD traps nothing
-            if not lo < e < hi:
-                f = float(e)
-                lo, hi = _float_interval(f)
+            if i >= until:
+                e = (cp * p - bq * q) * _HALF
+                # a NaN compares False here: _FOLD traps nothing
+                if not lo < e < hi:
+                    f = float(e)
+                    lo, hi = _float_interval(f)
+                until = min(i + 1 + _covered(e, lo, hi, rate), last)
             energies.append(f)
     return energies

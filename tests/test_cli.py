@@ -25,6 +25,9 @@ from lobvi.mechanics import PhasePoint
 
 W = 2.0 * math.pi
 FMT = "{:.16e}".format
+# an orbit whose scales are floats (q0 = 1e300, max |p| = 1e300, H0 = 5e299)
+# while its H_d, about h H with h = 2 pi / (10 omega) ~ 6e299, is past the float range
+HUGE_H_D = ["--mass", "1e300", "--omega", "1e-300", "--amplitude", "1e300"]
 
 
 def call_main(args):
@@ -347,10 +350,11 @@ class TestTrajectoryOutput:
         assert len(lines) == 5
         assert "stdout" in err.getvalue()
 
-    # 1e200 overflows H and H_d to inf; at omega 1e-300 the exact p ends subnormal
+    # H_d ~ h H overflows to inf at a finite H ~ 5e299, with h ~ 6e299; at omega 1e-300
+    # the exact p ends subnormal
     @pytest.mark.parametrize(
         "args, header",
-        [(["--amplitude", "1e200"], "t,q,p,q_exact,p_exact,H,H_d"),
+        [(HUGE_H_D, "t,q,p,q_exact,p_exact,H,H_d"),
          (["--omega", "1e-300", "--meshes", "3"], "t,q,p,q_exact,p_exact,H,H_d"),
          (["--system", "pendulum", "--scheme", "midpoint", "--meshes", "8"],
           "t,q,p,q_exact,p_exact,H")],
@@ -567,15 +571,15 @@ class TestDriftOutput:
         assert err == f"drift: H max drift {last:.3e} after 20 periods -> {out}\n"
 
     def test_reference_is_evaluated_only_at_the_start(self, monkeypatch):
+        # counted over the run alone: the config reads the orbit's scales before it
+        config = parse_config(["drift", "--system", "pendulum", "--periods", "3", "--out", "-"])
         real = lobvi.cli.pendulum_exact
         calls = []
         monkeypatch.setattr(
             "lobvi.cli.pendulum_exact", lambda t, ref: calls.append(t) or real(t, ref)
         )
-        with contextlib.redirect_stdout(io.StringIO()):
-            code, _ = call_main(
-                ["drift", "--system", "pendulum", "--periods", "3", "--out", "-"]
-            )
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = run(config)
         assert code == 0
         assert calls == [0.0]
 
@@ -584,15 +588,15 @@ class TestDriftOutput:
         "scheme, calls", [("lobatto", 0), ("midpoint", 31)], ids=["H_d", "H"]
     )
     def test_drift_evaluates_only_the_energy_it_reports(self, monkeypatch, scheme, calls):
+        # counted over the run alone: the config reads H0 before it
+        config = parse_config(["drift", "--scheme", scheme, "--periods", "3", "--out", "-"])
         real = lobvi.cli.energy
         seen = []
         monkeypatch.setattr(
             "lobvi.cli.energy", lambda *args: seen.append(args) or real(*args)
         )
-        with contextlib.redirect_stdout(io.StringIO()):
-            code, _ = call_main(
-                ["drift", "--scheme", scheme, "--periods", "3", "--out", "-"]
-            )
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = run(config)
         assert code == 0
         assert len(seen) == calls
 
@@ -634,16 +638,13 @@ class TestDriftOutput:
         assert [row.split(",")[0] for row in buf.getvalue().splitlines()[3:]] == ["1", "2"]
 
     def test_nan_energy_is_printed_not_dropped(self):
-        # p * p overflows in the fold, so every H_d is NaN
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            code, err = call_main(
-                ["drift", "--amplitude", "1e200", "--periods", "3", "--out", "-"]
-            )
+            code, err = call_main(["drift", *HUGE_H_D, "--periods", "3", "--out", "-"])
         assert code == 0
         lines = buf.getvalue().splitlines()
-        # H_d itself overflows to inf, so every error is inf - inf = nan
-        ref = first_energy(["--amplitude", "1e200"], "H_d")
+        # H_d overflows to inf, so every error is inf - inf = nan
+        ref = first_energy(HUGE_H_D, "H_d")
         assert lines[1] == f"# reference: {ref}" == "# reference: inf"
         assert lines[3:] == ["1,nan", "2,nan", "3,nan"]
         assert err == "drift: H_d max drift nan after 3 periods -> stdout\n"
@@ -995,15 +996,13 @@ class TestExitCodes:
         assert err == "config error: meshes: mesh counts must double: 10 then 21\n"
         assert buf.getvalue() == ""
 
-    # at --amplitude 1e301 the points stay finite, but H and its exact value
-    # both overflow to inf, so the H errors are inf - inf = NaN; at --mass
-    # 1e-320 every error is subnormal, rounding residue with no order in it
+    # at --mass 1e-320 every error is subnormal, rounding residue with no order in it
     @pytest.mark.parametrize(
         "args, observable, value",
-        [(["--amplitude", "1e-300"], "H", "0.0"), (["--amplitude", "1e301"], "H", "nan"),
+        [(["--amplitude", "1e-300"], "H", "0.0"),
          (["--mass", "1e-320"], "H", "1.5e-323"),
          (["--scheme", "midpoint", "--amplitude", "1e-320"], "H", "0.0")],
-        ids=["amplitude", "huge-amplitude", "subnormal-mass", "subnormal-midpoint"],
+        ids=["amplitude", "subnormal-mass", "subnormal-midpoint"],
     )
     def test_degenerate_convergence_is_config_error(self, tmp_path, args, observable, value):
         out = tmp_path / "c.csv"
@@ -1018,6 +1017,39 @@ class TestExitCodes:
                 f"config error: no {observable} order from meshes 10 and 20: "
                 f"degenerate error value {value}\n"
             )
+            assert buf.getvalue() == ""
+        assert not out.exists()
+
+    # one verdict for every command, system and scheme, before any step: the exact
+    # orbit's |q| at t = 0, |p| at a quarter period and H0 must be floats
+    @pytest.mark.parametrize(
+        "args, scale, value",
+        [(["trajectory", "--mass", "1e308", "--omega", "1", "--amplitude", "3.14",
+           "--meshes", "3"], "p(T/4)", "-inf"),
+         (["drift", "--mass", "1e308", "--omega", "1", "--amplitude", "3.14", "--meshes", "3",
+           "--periods", "2"], "p(T/4)", "-inf"),
+         (["drift", "--amplitude", "1e200", "--periods", "3"], "H0", "inf"),
+         (["convergence", "--amplitude", "1e301"], "H0", "inf"),
+         (["trajectory", "--scheme", "midpoint", "--amplitude", "1e200"], "H0", "inf"),
+         # a * omega overflows in harmonic_exact: p is -inf at a quarter period, nan at t = 0
+         (["trajectory", "--mass", "1e-320", "--omega", "1e150", "--amplitude", "1e300",
+           "--meshes", "3"], "p(T/4)", "-inf"),
+         (["trajectory", "--system", "pendulum", "--mass", "1e308", "--omega", "2"],
+          "p(T/4)", "-inf"),
+         (["trajectory", "--system", "pendulum", "--scheme", "midpoint", "--mass", "1e308",
+           "--omega", "2"], "p(T/4)", "-inf")],
+        ids=["trajectory", "drift", "drift-huge-amplitude", "convergence-huge-amplitude",
+             "midpoint", "subnormal-mass", "pendulum", "pendulum-midpoint"],
+    )
+    def test_orbit_past_the_float_range_is_config_error(self, tmp_path, args, scale, value):
+        out = tmp_path / "o.csv"
+        for sink in ("-", str(out)):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code, err = call_main([*args, "--out", sink])
+            assert code == 2
+            assert err == (f"config error: mass, omega, amplitude: {scale} must be finite, "
+                           f"got {value}\n")
             assert buf.getvalue() == ""
         assert not out.exists()
 

@@ -33,6 +33,7 @@ from lobvi.harmonic import (
 from lobvi.mechanics import ElementState, PhasePoint, StepParams, harmonic_potential
 from lobvi.pendulum import discrete_lagrangian_nl
 from lobvi.quadrature import XI, integrate_unit, interpolate, stiffness_matrix
+import oracle
 from oracle import (
     exact_coefficients,
     exact_fold,
@@ -572,6 +573,120 @@ class TestFold:
         for n_steps in (10, 1000):
             run_harmonic(PhasePoint(0.3, 1.0), TABLE_PARAMS, n_steps)
         assert calls["n"] == 0
+
+
+def start_near_tie(params, offset):
+    """A start whose H_d lies offset * |H_d| past the tie between +-1.5 and its next float
+    away from 0 (toward larger |H_d| for offset > 0), with +- the sign of H_d.
+
+    p carries all of |H_d| but a sliver below 4.4e-16 of it, and q's term fills the
+    sliver in, so the float rounding of q moves H_d by about 1e-31 of itself.
+    """
+    with localcontext(Context(prec=34)):
+        exact = HarmonicParams(Decimal(params.m), Decimal(params.omega), Decimal(params.h))
+        (_, b), (c, _) = transfer_matrix(exact)
+    with localcontext(Context(prec=60)):
+        f = math.copysign(1.5, c)
+        tie = abs(Decimal(f) + Decimal(math.nextafter(f, f * math.inf))) / 2
+        target = tie * (1 + Decimal(offset))
+        p = float((2 * target / abs(c)).sqrt())
+        while abs(c) * Decimal(p) ** 2 / 2 >= target:
+            p = math.nextafter(p, 0.0)
+        q = float((2 * (target - abs(c) * Decimal(p) ** 2 / 2) / abs(b)).sqrt())
+    return PhasePoint(p, q)
+
+
+class TestBoundedFold:
+    """The fold evaluates H_d only where a rounding bound cannot keep it inside the last
+    float's rounding interval; fold_by_products evaluates and converts it at every node.
+
+    Each case compares both folds' points and energies bit for bit with that oracle.
+    """
+
+    @staticmethod
+    def assert_matches_oracle(start, params, n_steps):
+        want_points, want_energies = fold_by_products(start, params, n_steps)
+        run = run_harmonic(start, params, n_steps)
+        assert [(pt.p.hex(), pt.q.hex()) for pt in run.points] == [
+            (pt.p.hex(), pt.q.hex()) for pt in want_points
+        ]
+        want = [v.hex() for v in want_energies]
+        assert [v.hex() for v in run.discrete_energies] == want
+        assert [v.hex() for v in discrete_energy_series(start, params, n_steps)] == want
+        return want_energies
+
+    # each start sits a few hundred to a few thousand steps' leak short of the tie its
+    # H_d drifts toward, so the emitted float changes mid-run
+    @pytest.mark.parametrize(
+        "scale, offset",
+        [("1.000000000000000000001", "-1e-17"), ("0.999999999999999999999", "1e-17"),
+         ("1.0000000000000000000000000000001", "-1e-28")],
+        ids=["grows-1e-21", "shrinks-1e-21", "grows-1e-31"],
+    )
+    def test_leaky_maps_are_tracked(self, monkeypatch, scale, offset):
+        real = transfer_matrix
+
+        def leaky(params):
+            (a, b), (c, d) = real(params)
+            return ((a * Decimal(scale), b), (c, d * Decimal(scale)))
+
+        monkeypatch.setattr(harmonic, "transfer_matrix", leaky)
+        monkeypatch.setattr(oracle, "transfer_matrix", leaky)
+        start = start_near_tie(TABLE_PARAMS, offset)
+        hds = self.assert_matches_oracle(start, TABLE_PARAMS, 20000)
+        assert len(set(hds)) == 2
+
+    @pytest.mark.parametrize("offset", ["-1e-30", "1e-30"], ids=["below", "above"])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    def test_start_next_to_a_tie(self, offset, reverse):
+        # h < 0 makes H_d negative definite; either way the countdown from the start is a
+        # few nodes long, and the roundings carry the H_d that starts below the tie across it
+        params = HarmonicParams(m=1.0, omega=2.0 * math.pi, h=-0.1 if reverse else 0.1)
+        start = start_near_tie(params, offset)
+        hds = self.assert_matches_oracle(start, params, 2000)
+        with localcontext(Context(prec=34)):
+            exact = HarmonicParams(Decimal(params.m), Decimal(params.omega), Decimal(params.h))
+            (_, b), (c, _) = transfer_matrix(exact)
+        with localcontext(Context(prec=80)):
+            e = (c * Decimal(start.p) ** 2 - b * Decimal(start.q) ** 2) / 2
+            f = math.copysign(1.5, c)
+            tie = (Decimal(f) + Decimal(math.nextafter(f, f * math.inf))) / 2
+            assert abs(e / tie - 1 - Decimal(offset)) < Decimal("2e-31")
+        assert (hds[0] < 0.0) == reverse
+        assert len(set(hds)) == (2 if offset == "-1e-30" else 1)
+
+    def test_free_drift_has_no_b(self):
+        # omega = 0: b = 0 and a = 1, so eps = 0 and H_d = c p^2 / 2 is the same every node
+        params = HarmonicParams(m=1.3, omega=0.0, h=-0.1)
+        hds = self.assert_matches_oracle(PhasePoint(0.7, 1e5), params, 20000)
+        assert hds == [hds[0]] * 20001 and hds[0] < 0.0
+
+    def test_unstable_step_falls_back_to_every_node(self, monkeypatch):
+        # at (h omega)^2 = 36 > 30 the map has b c > 0: H_d is indefinite and has no
+        # bound, and the growing orbit's roundings move it off its float at most nodes
+        params = HarmonicParams(m=1.0, omega=1.0, h=6.0)
+        rates = []
+        real = harmonic._covered
+        monkeypatch.setattr(
+            harmonic, "_covered",
+            lambda e, lo, hi, rate: rates.append(rate) or real(e, lo, hi, rate),
+        )
+        hds = self.assert_matches_oracle(PhasePoint(0.3, 1.0), params, 200)
+        assert len(set(hds)) > 100
+        assert set(rates) == {Decimal("Infinity")}
+
+    def test_only_the_ends_are_evaluated_on_a_flat_run(self, monkeypatch):
+        # the benchmark's drift: the bound covers every node between the first and the last
+        covered = []
+        real = harmonic._covered
+        monkeypatch.setattr(
+            harmonic, "_covered",
+            lambda e, lo, hi, rate: covered.append(real(e, lo, hi, rate)) or covered[-1],
+        )
+        start = harmonic_exact(0.0, HarmonicExact(amplitude=1.5, omega=2.0 * math.pi, m=1.0))
+        hds = discrete_energy_series(start, TABLE_PARAMS, 80000)
+        assert hds == [hds[0]] * 80001
+        assert len(covered) == 2 and covered[0] >= 80000
 
 
 def _even(x: float) -> bool:
